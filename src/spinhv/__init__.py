@@ -20,6 +20,7 @@ from .bounds import (
     classical_bound_bruteforce,
 )
 from .errors import (
+    BoundCheckFailure,
     DimensionMismatch,
     EigensolverFailure,
     InfeasibleSpin,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
+    "BoundCheckFailure",
     "BoundsReport",
     "CoefficientMatrix",
     "CorrelationPoint",

@@ -1,27 +1,37 @@
 """Classical hidden-variable bounds for bilinear spin correlation inequalities.
 
 The inequality sum_kl c_kl <S_k S_l> >= beta is bounded from below, over
-deterministic assignments, by the discrete minimum of a . C . b.  Party B
-is scanned explicitly; for the unconstrained party A the inner minimum is
-the closed form -s * sum_k |(C b)_k|.
+deterministic assignments, by the discrete minimum of a . C . b.  For the
+conserving bound beta both parties range over the magnitude-conserving
+triples and the whole pair table is scanned.  For the standard bound
+beta_bar each component of a and of b ranges independently over the
+spectrum [-s, s]; the form is affine in every component, so its minimum
+over the box is attained at a corner, and only the 8 corners {-s, s}^3
+are scanned.  The tie-broken witness is a corner too: the first minimizing
+pair of the full spectrum grid (smallest b, then smallest a) cannot have a
+component inside (-s, s), since an affine function minimal inside a
+segment is constant on it, so setting that component to -s would give an
+earlier minimizing pair.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import product
 
 import numpy as np
 
 from .assignments import Assignment, enumerate_constrained, enumerate_unconstrained
-from .errors import InfeasibleSpin, NonFiniteMatrix
+from .errors import BoundCheckFailure, InfeasibleSpin, NonFiniteMatrix
 from .number_theory import SpinValue
 
 # resolution at which minima are considered tied
 TIE_TOL = 1e-12
 ROTATION_TOL = 1e-12
 WITNESS_TOL = 1e-9
+
+# signs of the spectrum corners, ascending lexicographic like the full grid
+_CORNER_SIGNS = np.array(list(product((-1, 1), repeat=3)), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +77,16 @@ class BoundsReport:
     constrained_infeasible: bool = False
 
 
-def _values(assignments: Sequence[Assignment]) -> np.ndarray:
-    return np.array([a.doubled for a in assignments], dtype=float) / 2.0
+def _set_doubled(s: SpinValue, constrained: bool) -> np.ndarray:
+    """One party's whole assignment set as rows of doubled triples."""
+    aset = enumerate_constrained(s) if constrained else enumerate_unconstrained(s)
+    if not aset:
+        raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
+    return np.array([a.doubled for a in aset], dtype=np.int64)
 
 
-def _chunked_rows(mat: np.ndarray, right: np.ndarray, threads: int) -> np.ndarray:
-    """mat @ right computed in row blocks, optionally across worker threads.
-
-    Workers each produce a contiguous block; concatenation makes the result
-    identical to the single-threaded product regardless of thread count.
-    """
-    if threads <= 1 or len(mat) < 1024:
-        return mat @ right
-    blocks = np.array_split(mat, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda block: block @ right, blocks))
-    return np.vstack(parts)
+def _assignment(row: np.ndarray) -> Assignment:
+    return Assignment(*(SpinValue(d) for d in row.tolist()))
 
 
 def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
@@ -97,65 +101,42 @@ def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
     return best, int(ii[k]), int(jj[k])
 
 
+def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, tuple[Assignment, Assignment]]:
+    """Minimum of a . C . b with a and b both ranging over the doubled rows."""
+    values = doubled / 2.0
+    best, i, j = _select_pair(values @ (cm.entries @ values.T))
+    return best, (_assignment(doubled[i]), _assignment(doubled[j]))
+
+
 def classical_bound(
-    C, s: SpinValue, constrained: bool, threads: int = 1
+    C, s: SpinValue, constrained: bool
 ) -> tuple[float, tuple[Assignment, Assignment]]:
     """Discrete minimum of a . C . b over one party's assignment set squared.
 
     Returns the bound and a minimizing (a, b) pair; among ties the pair
-    with the smallest b, then smallest a, in component order.
+    with the smallest b, then smallest a, in component order.  The
+    unconstrained minimum is taken over the 8 spectrum corners only.
     Raises InfeasibleSpin when constrained and the conserving set is empty.
     """
     cm = as_coefficient_matrix(C)
     if s.doubled < 1:
         raise ValueError("spin magnitude must be positive")
-    if constrained:
-        return _bound_constrained(cm, s, threads)
-    return _bound_unconstrained(cm, s, threads)
-
-
-def _bound_constrained(cm, s, threads):
-    aset = enumerate_constrained(s)
-    if not aset:
-        raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
-    avals = _values(aset)
-    table = _chunked_rows(avals, cm.entries @ avals.T, threads)
-    best, i, j = _select_pair(table)
-    return best, (aset[i], aset[j])
-
-
-def _bound_unconstrained(cm, s, threads):
-    bset = enumerate_unconstrained(s)
-    bvals = _values(bset)
-    rows = _chunked_rows(bvals, cm.entries.T, threads)  # row j = C b_j
-    inner = -(s.doubled / 2.0) * np.abs(rows).sum(axis=1)
-    best = float(inner.min())
-    j = int(np.nonzero(inner <= best + TIE_TOL)[0][0])
-    # componentwise argmin for party A; near-zero components tie, and the
-    # smallest spectrum value -s wins the tie
-    a_doubled = tuple(-s.doubled if v >= -TIE_TOL else s.doubled for v in rows[j])
-    a = Assignment(*(SpinValue(d) for d in a_doubled))
-    return best, (a, bset[j])
+    doubled = _set_doubled(s, True) if constrained else s.doubled * _CORNER_SIGNS
+    return _minimize(cm, doubled)
 
 
 def classical_bound_bruteforce(
     C, s: SpinValue, constrained: bool
 ) -> tuple[float, tuple[Assignment, Assignment]]:
-    """Reference double loop over the explicit pair set.
+    """Reference scan over the explicit pair set, all (2s+1)^3 when unconstrained.
 
-    Ground truth for the reduced evaluation in classical_bound; quadratic
+    Ground truth for the corner reduction in classical_bound; quadratic
     in the assignment count, so only for moderate s.
     """
     cm = as_coefficient_matrix(C)
     if s.doubled < 1:
         raise ValueError("spin magnitude must be positive")
-    aset = enumerate_constrained(s) if constrained else enumerate_unconstrained(s)
-    if not aset:
-        raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
-    avals = _values(aset)
-    table = avals @ cm.entries @ avals.T
-    best, i, j = _select_pair(table)
-    return best, (aset[i], aset[j])
+    return _minimize(cm, _set_doubled(s, constrained))
 
 
 def _witness_value(cm: CoefficientMatrix, pair: tuple[Assignment, Assignment]) -> float:
@@ -165,18 +146,22 @@ def _witness_value(cm: CoefficientMatrix, pair: tuple[Assignment, Assignment]) -
     return float(av @ cm.entries @ bv)
 
 
-def bounds_report(C, s: SpinValue, threads: int = 1) -> BoundsReport:
-    """Both classical bounds for one matrix and spin."""
+def bounds_report(C, s: SpinValue) -> BoundsReport:
+    """Both classical bounds for one matrix and spin.
+
+    Raises BoundCheckFailure when a witness does not reproduce its bound
+    or the conserving bound falls below the standard one.
+    """
     cm = as_coefficient_matrix(C)
-    beta_bar, w_bar = classical_bound(cm, s, constrained=False, threads=threads)
+    beta_bar, w_bar = classical_bound(cm, s, constrained=False)
     if abs(_witness_value(cm, w_bar) - beta_bar) > WITNESS_TOL:
-        raise RuntimeError("witness does not reproduce its bound")
+        raise BoundCheckFailure("witness does not reproduce its bound")
     try:
-        beta, w = classical_bound(cm, s, constrained=True, threads=threads)
+        beta, w = classical_bound(cm, s, constrained=True)
     except InfeasibleSpin:
         return BoundsReport(None, beta_bar, None, w_bar, constrained_infeasible=True)
     if abs(_witness_value(cm, w) - beta) > WITNESS_TOL:
-        raise RuntimeError("witness does not reproduce its bound")
+        raise BoundCheckFailure("witness does not reproduce its bound")
     if beta < beta_bar - WITNESS_TOL:
-        raise RuntimeError("constrained bound undercuts the unconstrained one")
+        raise BoundCheckFailure("constrained bound undercuts the unconstrained one")
     return BoundsReport(beta, beta_bar, w, w_bar)

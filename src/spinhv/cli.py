@@ -24,10 +24,10 @@ from .assignments import (
     squared_magnitude_classes,
 )
 from .bounds import bounds_report, classical_bound
-from .errors import EigensolverFailure, InfeasibleSpin, LpNumericalFailure
+from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45, named_matrix
 from .number_theory import SpinValue, magnitude_feasible
-from .polytope import CorrelationPoint, membership, vertex_array_quadrupled
+from .polytope import CorrelationPoint, membership
 from .quantum import (
     MAX_SPIN_DOUBLED,
     bell_operator,
@@ -177,9 +177,8 @@ def cmd_bounds(args) -> tuple[dict, int]:
     matrix, inputs = _load_matrix(args.matrix)
     s = _spin(args.spin_doubled, 1, MAX_SPIN_DOUBLED, "bounds")
     inputs["spin_doubled"] = s.doubled
-    inputs["threads"] = args.threads
 
-    rep = bounds_report(matrix, s, threads=args.threads)
+    rep = bounds_report(matrix, s)
     beta_q, state = quantum_bound(matrix, s)
     schmidt = schmidt_coefficients(state, s)
 
@@ -210,10 +209,10 @@ def cmd_table1(args) -> tuple[dict, int]:
     for doubled in range(1, max_s.doubled + 1):
         s = SpinValue(doubled)
         try:
-            beta, _ = classical_bound(ROTATION_Z45, s, constrained=True, threads=args.threads)
+            beta, _ = classical_bound(ROTATION_Z45, s, constrained=True)
         except InfeasibleSpin:
             beta = None
-        beta_bar, _ = classical_bound(ROTATION_Z45, s, constrained=False, threads=args.threads)
+        beta_bar, _ = classical_bound(ROTATION_Z45, s, constrained=False)
         quantum_value = -doubled * (doubled + 2) / 4.0
         measured = expectation(rotated_singlet(ROTATION_Z45, s), bell_operator(ROTATION_Z45, s))
         row = {
@@ -243,7 +242,7 @@ def cmd_table1(args) -> tuple[dict, int]:
 
     report = _report(
         "table1",
-        {"max_spin_doubled": max_s.doubled, "matrix": "eq9-rotation", "threads": args.threads},
+        {"max_spin_doubled": max_s.doubled, "matrix": "eq9-rotation"},
         {"classical_target": tol_classical, "quantum_target": tol_quantum},
         {"rows": rows, "all_targets_passed": not mismatch},
     )
@@ -264,18 +263,16 @@ def cmd_membership(args) -> tuple[dict, int]:
 
     results: dict = {"inside": result.inside}
     if result.inside:
-        vertices = vertex_array_quadrupled(s, args.constrained) / 4.0
         nonzero = np.flatnonzero(result.weights > 1e-12)
         results["weights"] = [
             {
                 "vertex_index": int(i),
                 "weight": float(result.weights[i]),
-                "correlators": [float(v) for v in vertices[i]],
+                "correlators": [float(v) for v in result.vertices[i]],
             }
             for i in nonzero
         ]
-        recon = vertices.T @ result.weights
-        results["reconstruction_residual"] = float(np.max(np.abs(recon - point.flat())))
+        results["reconstruction_residual"] = result.reconstruction_residual
     else:
         results["separating_functional"] = [float(v) for v in result.functional]
         results["functional_bound"] = result.functional_bound
@@ -303,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
             "for magnitude-conserving hidden-variable models of spin correlations."
         ),
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for pair scans")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("feasibility", help="decide magnitude-conservation feasibility for one spin")
@@ -339,7 +335,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EigensolverFailure, LpNumericalFailure) as exc:
+    except (BoundCheckFailure, EigensolverFailure, LpNumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     json.dump(report, sys.stdout, indent=2)

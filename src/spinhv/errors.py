@@ -35,3 +35,7 @@ class NotARotation(SpinHvError):
 
 class LpNumericalFailure(SpinHvError):
     """The simplex could not certify feasibility or infeasibility at tolerance."""
+
+
+class BoundCheckFailure(SpinHvError):
+    """A classical bound failed its witness or ordering check."""

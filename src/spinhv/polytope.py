@@ -48,13 +48,17 @@ class CorrelationPoint:
 class MembershipResult:
     """Verdict plus certificate for one polytope membership query.
 
-    Inside: weights over the canonical vertex order reconstruct the point.
+    vertices holds the (n, 9) correlator rows in canonical order.
+    Inside: weights over those rows reconstruct the point to within
+    reconstruction_residual (max-norm).
     Outside: functional f and bound satisfy f(v) >= bound on every vertex
     while f(point) = value < bound.
     """
 
     inside: bool
+    vertices: np.ndarray
     weights: np.ndarray | None = None
+    reconstruction_residual: float | None = None
     functional: np.ndarray | None = None
     functional_bound: float | None = None
     functional_value: float | None = None
@@ -128,7 +132,9 @@ def membership(
             raise LpNumericalFailure(
                 f"inside verdict but reconstruction residual {residual:.3e}"
             )
-        return MembershipResult(inside=True, weights=weights)
+        return MembershipResult(
+            inside=True, vertices=vertices, weights=weights, reconstruction_residual=residual
+        )
 
     y = outcome.farkas
     functional = -y[:9]
@@ -143,6 +149,7 @@ def membership(
         raise LpNumericalFailure("separating functional fails to separate")
     return MembershipResult(
         inside=False,
+        vertices=vertices,
         functional=functional,
         functional_bound=bound,
         functional_value=value,

@@ -1,10 +1,11 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Dense phase-1 simplex deciding feasibility of small equality-form systems.
 
-Solves min c.x subject to A x = b, x >= 0 on problems with a handful of
-rows and up to a few thousand columns, which is all the correlation
-polytopes need.  Bland's rule keeps the pivoting cycle-free.  When the
-program is infeasible the phase-1 dual vector is returned as a Farkas
-certificate: y.A <= 0 columnwise while y.b > 0.
+Finds x >= 0 with A x = b on problems with a handful of rows and up to a
+few thousand columns, which is all the correlation polytopes need, by
+minimizing the total of one artificial variable per row.  Bland's rule
+keeps the pivoting cycle-free.  When the system is infeasible the phase-1
+dual vector is returned as a Farkas certificate: y.A <= 0 columnwise while
+y.b > 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ MAX_ITER = 20000
 class LpOutcome:
     feasible: bool
     x: np.ndarray | None = None
-    objective: float | None = None
     farkas: np.ndarray | None = None
 
 
@@ -36,15 +36,14 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], n_enter: int) -> None:
+def _iterate(tableau: np.ndarray, basis: list[int]) -> None:
     """Run simplex pivots in place until the objective row is optimal.
 
-    Only the first n_enter columns may enter the basis; the objective row
-    is the last row, the right-hand side the last column.
+    The objective row is the last row, the right-hand side the last column.
     """
     m = tableau.shape[0] - 1
     for _ in range(MAX_ITER):
-        obj = tableau[m, :n_enter]
+        obj = tableau[m, :-1]
         entering = np.flatnonzero(obj < -PIVOT_TOL)
         if entering.size == 0:
             return
@@ -60,11 +59,11 @@ def _iterate(tableau: np.ndarray, basis: list[int], n_enter: int) -> None:
     raise LpNumericalFailure("simplex iteration limit reached")
 
 
-def solve_equality_lp(A, b, c=None, feas_tol: float = 1e-8) -> LpOutcome:
-    """Two-phase simplex on min c.x, A x = b, x >= 0.
+def solve_equality_lp(A, b, feas_tol: float = 1e-8) -> LpOutcome:
+    """Feasibility of A x = b, x >= 0, with a nonnegative x or a Farkas vector.
 
-    With c omitted only feasibility is decided.  feas_tol is the phase-1
-    threshold below which the artificial residue counts as zero.
+    feas_tol is the phase-1 threshold below which the artificial residue
+    counts as zero.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -84,7 +83,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = 1e-8) -> LpOutcome:
     tableau[m, :n] = -A.sum(axis=0)
     tableau[m, -1] = -b.sum()
     basis = list(range(n, n + m))
-    _iterate(tableau, basis, n_enter=n + m)
+    _iterate(tableau, basis)
 
     residue = -float(tableau[m, -1])
     if residue > feas_tol:
@@ -93,26 +92,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = 1e-8) -> LpOutcome:
         y = np.where(flip, -y, y)
         return LpOutcome(feasible=False, farkas=y)
 
-    if c is None:
-        return LpOutcome(feasible=True, x=_extract(tableau, basis, n))
-
-    # drive zero-valued artificial basics onto original columns so phase 2
-    # cannot regrow them; rows with no original pivot are redundant
-    for row in range(m):
-        if basis[row] >= n:
-            candidates = np.flatnonzero(np.abs(tableau[row, :n]) > PIVOT_TOL)
-            if candidates.size:
-                _pivot(tableau, basis, row, int(candidates[0]))
-
-    # phase 2: rebuild the objective row from c, artificials barred from entering
-    c = np.asarray(c, dtype=float).reshape(n)
-    cost = np.concatenate([c, np.zeros(m)])
-    basic_cost = cost[basis]
-    tableau[m, :-1] = cost - basic_cost @ tableau[:m, :-1]
-    tableau[m, -1] = -float(basic_cost @ tableau[:m, -1])
-    _iterate(tableau, basis, n_enter=n)
-    x = _extract(tableau, basis, n)
-    return LpOutcome(feasible=True, x=x, objective=float(c @ x))
+    return LpOutcome(feasible=True, x=_extract(tableau, basis, n))
 
 
 def _extract(tableau: np.ndarray, basis: list[int], n: int) -> np.ndarray:

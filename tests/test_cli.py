@@ -112,6 +112,17 @@ class TestBoundsCommand:
     def test_spin_out_of_quantum_range(self, capsys):
         assert run_cli(capsys, "bounds", "--matrix", "identity", "--spin-doubled", "22")[0] == 2
 
+    def test_scaled_matrices_exit_without_traceback(self, capsys, tmp_path):
+        # at this scale the absolute witness and eigenpair checks can fail on
+        # rounding alone; a failed check is exit code 4, never a traceback
+        for seed in range(20):
+            path = tmp_path / f"m{seed}.txt"
+            np.savetxt(path, np.random.default_rng(seed).normal(size=(3, 3)) * 1e6)
+            code = main(["bounds", "--matrix", str(path), "--spin-doubled", "7"])
+            err = capsys.readouterr().err
+            assert code in (0, 4)
+            assert code == 0 or err.startswith("numerical failure")
+
 
 class TestTable1Command:
     def test_targets_pass(self, capsys):
@@ -210,15 +221,6 @@ class TestReportShape:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert strip_timestamp(out1) == strip_timestamp(out2)
-
-    def test_threads_do_not_change_results(self, capsys):
-        main(["--threads", "1", "bounds", "--matrix", "example3", "--spin-doubled", "4"])
-        out1 = capsys.readouterr().out
-        main(["--threads", "4", "bounds", "--matrix", "example3", "--spin-doubled", "4"])
-        out2 = capsys.readouterr().out
-        r1 = json.loads(strip_timestamp(out1))
-        r2 = json.loads(strip_timestamp(out2))
-        assert r1["results"] == r2["results"]
 
     def test_field_order(self, capsys):
         _, report = run_cli(capsys, "feasibility", "--spin-doubled", "2")

@@ -107,6 +107,9 @@ class TestMembership:
         recon = vertices.T @ result.weights
         assert np.max(np.abs(recon - point.flat())) <= 1e-7
         assert result.weights.sum() == pytest.approx(1.0, abs=1e-8)
+        # the result carries the rows its weights index and their residual
+        assert np.array_equal(result.vertices, vertices)
+        assert result.reconstruction_residual == float(np.max(np.abs(recon - point.flat())))
 
     def test_example1_inequality_value_below_conserving_bound(self):
         # the quantum point violates the inequality the matrix defines

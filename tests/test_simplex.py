@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spinhv.errors import LpNumericalFailure
 from spinhv.simplex import solve_equality_lp
 
 
@@ -57,33 +56,6 @@ class TestFeasibility:
         out = solve_equality_lp(A, b)
         assert not out.feasible
         assert out.farkas @ b > 1e-9
-
-
-class TestOptimization:
-    def test_simple_minimum(self):
-        # min -x on the segment x + y = 1
-        A = np.array([[1.0, 1.0]])
-        b = np.array([1.0])
-        out = solve_equality_lp(A, b, c=np.array([-1.0, 0.0]))
-        assert out.feasible
-        assert out.objective == pytest.approx(-1.0, abs=1e-9)
-        assert out.x[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_three_variables(self):
-        # min x1 + 2 x2 + 3 x3 with x1+x2+x3 = 1, x2 + x3 = 0.4
-        A = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        b = np.array([1.0, 0.4])
-        out = solve_equality_lp(A, b, c=np.array([1.0, 2.0, 3.0]))
-        assert out.feasible
-        assert out.objective == pytest.approx(0.6 + 0.8, abs=1e-9)
-        assert np.allclose(out.x, [0.6, 0.4, 0.0], atol=1e-9)
-
-    def test_unbounded_detected(self):
-        # min -x with x - y = 0 is unbounded along the ray x = y
-        A = np.array([[1.0, -1.0]])
-        b = np.array([0.0])
-        with pytest.raises(LpNumericalFailure):
-            solve_equality_lp(A, b, c=np.array([-1.0, 0.0]))
 
 
 class TestRandomized:
