@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import product
 from typing import NamedTuple
 
+import numpy as np
+
+from .errors import InfeasibleSpin
 from .number_theory import SpinValue
+
+# signs of the spectrum corners, ascending lexicographic like the full grid
+_CORNER_SIGNS = np.array(list(product((-1, 1), repeat=3)), dtype=np.int64)
 
 
 class Assignment(NamedTuple):
@@ -25,11 +30,6 @@ class Assignment(NamedTuple):
     def values(self) -> tuple[float, float, float]:
         return (self.x.value, self.y.value, self.z.value)
 
-    def squared_doubled_sum(self) -> int:
-        """Sum of squared doubled components: four times the squared length."""
-        dx, dy, dz = self.doubled
-        return dx * dx + dy * dy + dz * dz
-
     def __str__(self) -> str:
         return f"({self.x}, {self.y}, {self.z})"
 
@@ -44,20 +44,41 @@ def conserving_target_doubled(s: SpinValue) -> int:
     return s.doubled * (s.doubled + 2)
 
 
-def enumerate_unconstrained(s: SpinValue) -> list[Assignment]:
-    """All (2s+1)^3 assignments, ascending lexicographic on components."""
+def enumerate_unconstrained(s: SpinValue) -> np.ndarray:
+    """All (2s+1)^3 assignments as (n, 3) int64 rows of doubled components.
+
+    Rows are in ascending lexicographic order.
+    """
     _require_positive(s)
-    spectrum = [SpinValue(d) for d in range(-s.doubled, s.doubled + 1, 2)]
-    return [Assignment(x, y, z) for x, y, z in product(spectrum, repeat=3)]
+    spectrum = np.arange(-s.doubled, s.doubled + 1, 2, dtype=np.int64)
+    return np.stack(np.meshgrid(spectrum, spectrum, spectrum, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def enumerate_constrained(s: SpinValue) -> list[Assignment]:
-    """The assignments whose squared projections sum to s(s+1).
+def enumerate_constrained(s: SpinValue) -> np.ndarray:
+    """The rows of enumerate_unconstrained whose squared projections sum to s(s+1).
 
     Empty exactly when no magnitude-conserving model exists for this s.
     """
-    target = conserving_target_doubled(s)
-    return [a for a in enumerate_unconstrained(s) if a.squared_doubled_sum() == target]
+    full = enumerate_unconstrained(s)
+    return full[np.square(full).sum(axis=1) == conserving_target_doubled(s)]
+
+
+def extreme_assignments(s: SpinValue, constrained: bool) -> np.ndarray:
+    """One party's extreme assignments as doubled rows, ascending lexicographic.
+
+    Constrained: every conserving triple (they all lie on one sphere),
+    raising InfeasibleSpin when none exist.  Unconstrained: the 8 spectrum
+    corners {-s, s}^3, which suffice for bilinear minima and correlation
+    hulls because a . C . b and a (x) b are affine in each component of
+    a and of b.
+    """
+    _require_positive(s)
+    if not constrained:
+        return s.doubled * _CORNER_SIGNS
+    rows = enumerate_constrained(s)
+    if not len(rows):
+        raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
+    return rows
 
 
 def feasible_by_enumeration(s: SpinValue) -> bool:
@@ -90,5 +111,5 @@ def squared_magnitude_classes(s: SpinValue) -> dict[int, int]:
     times the squared length.  A key equal to conserving_target_doubled(s)
     is present iff the constrained set is nonempty.
     """
-    _require_positive(s)
-    return dict(Counter(a.squared_doubled_sum() for a in enumerate_unconstrained(s)))
+    keys, counts = np.unique(np.square(enumerate_unconstrained(s)).sum(axis=1), return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))

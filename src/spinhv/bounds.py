@@ -17,11 +17,10 @@ earlier minimizing pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .assignments import Assignment, enumerate_constrained, enumerate_unconstrained
+from .assignments import Assignment, enumerate_unconstrained, extreme_assignments
 from .errors import BoundCheckFailure, InfeasibleSpin, NonFiniteMatrix
 from .number_theory import SpinValue
 
@@ -29,9 +28,6 @@ from .number_theory import SpinValue
 TIE_TOL = 1e-12
 ROTATION_TOL = 1e-12
 WITNESS_TOL = 1e-9
-
-# signs of the spectrum corners, ascending lexicographic like the full grid
-_CORNER_SIGNS = np.array(list(product((-1, 1), repeat=3)), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +73,6 @@ class BoundsReport:
     constrained_infeasible: bool = False
 
 
-def _set_doubled(s: SpinValue, constrained: bool) -> np.ndarray:
-    """One party's whole assignment set as rows of doubled triples."""
-    aset = enumerate_constrained(s) if constrained else enumerate_unconstrained(s)
-    if not aset:
-        raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
-    return np.array([a.doubled for a in aset], dtype=np.int64)
-
-
 def _assignment(row: np.ndarray) -> Assignment:
     return Assignment(*(SpinValue(d) for d in row.tolist()))
 
@@ -104,7 +92,10 @@ def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
 def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, tuple[Assignment, Assignment]]:
     """Minimum of a . C . b with a and b both ranging over the doubled rows."""
     values = doubled / 2.0
-    best, i, j = _select_pair(values @ (cm.entries @ values.T))
+    table = values @ (cm.entries @ values.T)
+    if not np.all(np.isfinite(table)):
+        raise BoundCheckFailure("pair table overflows to non-finite values")
+    best, i, j = _select_pair(table)
     return best, (_assignment(doubled[i]), _assignment(doubled[j]))
 
 
@@ -118,11 +109,7 @@ def classical_bound(
     unconstrained minimum is taken over the 8 spectrum corners only.
     Raises InfeasibleSpin when constrained and the conserving set is empty.
     """
-    cm = as_coefficient_matrix(C)
-    if s.doubled < 1:
-        raise ValueError("spin magnitude must be positive")
-    doubled = _set_doubled(s, True) if constrained else s.doubled * _CORNER_SIGNS
-    return _minimize(cm, doubled)
+    return _minimize(as_coefficient_matrix(C), extreme_assignments(s, constrained))
 
 
 def classical_bound_bruteforce(
@@ -133,10 +120,8 @@ def classical_bound_bruteforce(
     Ground truth for the corner reduction in classical_bound; quadratic
     in the assignment count, so only for moderate s.
     """
-    cm = as_coefficient_matrix(C)
-    if s.doubled < 1:
-        raise ValueError("spin magnitude must be positive")
-    return _minimize(cm, _set_doubled(s, constrained))
+    rows = extreme_assignments(s, True) if constrained else enumerate_unconstrained(s)
+    return _minimize(as_coefficient_matrix(C), rows)
 
 
 def _witness_value(cm: CoefficientMatrix, pair: tuple[Assignment, Assignment]) -> float:

@@ -42,7 +42,6 @@ TOLERANCE_ENV = "SPINHV_TOLERANCE_OVERRIDE"
 MAX_ENUMERATION_DOUBLED = 40  # keeps the pair scans in bounds under a minute
 MAX_FORMULA_DOUBLED = 2000
 MAX_ORACLE_DOUBLED = 200
-MAX_MEMBERSHIP_UNCONSTRAINED_DOUBLED = 8  # pair sweep stays in memory
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -68,9 +67,12 @@ def _tolerance(default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise CliInputError(f"{TOLERANCE_ENV} is not a float: {raw!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise CliInputError(f"{TOLERANCE_ENV} must be finite and positive, got {raw!r}")
+    return value
 
 
 def _report(command: str, inputs: dict, tolerances: dict, results: dict) -> dict:
@@ -91,8 +93,8 @@ def _parse_numbers(text: str, path: str) -> list[float]:
         for token in line.split():
             try:
                 values.append(float(Fraction(token)))
-            except (ValueError, ZeroDivisionError):
-                raise CliInputError(f"{path}: cannot parse {token!r} as a number") from None
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise CliInputError(f"{path}: cannot parse {token!r} as a float") from None
     return values
 
 
@@ -251,8 +253,7 @@ def cmd_table1(args) -> tuple[dict, int]:
 
 def cmd_membership(args) -> tuple[dict, int]:
     point_entries = _load_point(args.point)
-    cap = MAX_ENUMERATION_DOUBLED if args.constrained else MAX_MEMBERSHIP_UNCONSTRAINED_DOUBLED
-    s = _spin(args.spin_doubled, 1, cap, "membership")
+    s = _spin(args.spin_doubled, 1, MAX_ENUMERATION_DOUBLED, "membership")
     tol = _tolerance(1e-8)
 
     try:

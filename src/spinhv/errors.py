@@ -38,4 +38,4 @@ class LpNumericalFailure(SpinHvError):
 
 
 class BoundCheckFailure(SpinHvError):
-    """A classical bound failed its witness or ordering check."""
+    """A classical bound failed its witness or ordering check, or its scan overflowed."""

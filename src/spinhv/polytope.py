@@ -3,6 +3,10 @@
 The nine two-party correlators of a deterministic assignment pair (a, b)
 form the outer product a (x) b.  Their convex hull is the correlation
 polytope; the magnitude-constrained hull is a subset of the standard one.
+The standard polytope is the hull of the 32 distinct products of the
+spectrum corners {-s, s}^3, for every spin: a (x) b is affine in each
+component of a and of b, so every other product is a convex combination
+of corner products.
 Membership of a correlation point is decided by a simplex feasibility run
 over the vertex columns, which also yields a certificate either way: the
 convex weights, or a separating functional valid on every vertex.
@@ -14,16 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignments import enumerate_constrained, enumerate_unconstrained
-from .errors import InfeasibleSpin, LpNumericalFailure
+from .assignments import extreme_assignments
+from .errors import LpNumericalFailure
 from .number_theory import SpinValue
 from .simplex import solve_equality_lp
 
 MEMBERSHIP_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-7
-
-# chunk size for the pairwise outer-product sweep, keeps memory flat
-_PAIR_CHUNK = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,18 +69,10 @@ class MembershipResult:
 class InclusionReport:
     """Outcome of comparing the constrained and unconstrained polytopes."""
 
-    vertices_subset: bool
     equal: bool
     strict: bool
     witness: CorrelationPoint | None = None
     witness_certificate: MembershipResult | None = None
-
-
-def _assignment_doubled(s: SpinValue, constrained: bool) -> np.ndarray:
-    assignments = enumerate_constrained(s) if constrained else enumerate_unconstrained(s)
-    if constrained and not assignments:
-        raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
-    return np.array([a.doubled for a in assignments], dtype=np.int64)
 
 
 def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
@@ -87,18 +80,10 @@ def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
 
     Rows are the nine products (2 a_k)(2 b_l) in row-major k, l order,
     sorted lexicographically; exact integer keys make the dedup exact.
+    Unconstrained, they are the 32 corner products.
     """
-    D = _assignment_doubled(s, constrained)
-    n = len(D)
-    rows_per_a = n
-    chunk_a = max(1, _PAIR_CHUNK // max(rows_per_a, 1))
-    unique: np.ndarray | None = None
-    for start in range(0, n, chunk_a):
-        block = np.einsum("ik,jl->ijkl", D[start : start + chunk_a], D).reshape(-1, 9)
-        block = np.unique(block, axis=0)
-        unique = block if unique is None else np.unique(np.vstack([unique, block]), axis=0)
-    assert unique is not None
-    return unique
+    D = extreme_assignments(s, constrained)
+    return np.unique(np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9), axis=0)
 
 
 def vertex_correlations(s: SpinValue, constrained: bool) -> list[CorrelationPoint]:
@@ -157,31 +142,18 @@ def membership(
 
 
 def inclusion_check(s: SpinValue) -> InclusionReport:
-    """Certify that the constrained polytope sits inside the unconstrained one.
+    """Compare the constrained polytope with the unconstrained one it sits in.
 
-    The vertex sets are compared exactly; strictness is established by an
-    unconstrained vertex that fails constrained membership.  For s = 1/2
-    the two polytopes coincide and the report says so.
+    Every conserving triple lies in the spectrum box, so inclusion holds by
+    construction.  Strictness is established by the first of the 32 corner
+    products that fails constrained membership; when none fails, the two
+    polytopes are equal, as for s = 1/2.
     """
-    constrained_keys = vertex_array_quadrupled(s, True)
-    unconstrained_keys = vertex_array_quadrupled(s, False)
-    unconstrained_set = set(map(tuple, unconstrained_keys))
-    subset = all(tuple(row) in unconstrained_set for row in constrained_keys)
-    if subset and len(constrained_keys) == len(unconstrained_keys):
-        return InclusionReport(vertices_subset=True, equal=True, strict=False)
-
-    constrained_set = set(map(tuple, constrained_keys))
-    for row in unconstrained_keys:
-        if tuple(row) in constrained_set:
-            continue
+    for row in vertex_array_quadrupled(s, False):
         candidate = CorrelationPoint(row.reshape(3, 3) / 4.0)
         result = membership(candidate, s, constrained=True)
         if not result.inside:
             return InclusionReport(
-                vertices_subset=subset,
-                equal=False,
-                strict=True,
-                witness=candidate,
-                witness_certificate=result,
+                equal=False, strict=True, witness=candidate, witness_certificate=result
             )
-    return InclusionReport(vertices_subset=subset, equal=False, strict=False)
+    return InclusionReport(equal=True, strict=False)

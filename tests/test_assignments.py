@@ -1,16 +1,27 @@
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from spinhv import (
     Assignment,
+    InfeasibleSpin,
     SpinValue,
     enumerate_constrained,
     enumerate_unconstrained,
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from spinhv.assignments import conserving_target_doubled
+from spinhv.assignments import conserving_target_doubled, extreme_assignments
+
+
+def row_set(rows):
+    """The doubled triples of an (n, 3) assignment array, as a set of tuples."""
+    return set(map(tuple, rows.tolist()))
+
+
+def is_lexicographic(rows):
+    return rows.tolist() == sorted(rows.tolist())
 
 
 def signed_permutations(doubled_triple):
@@ -34,14 +45,15 @@ class TestUnconstrained:
             assert len(got) == (doubled + 1) ** 3
 
     def test_half_spin_components(self):
-        got = {a.doubled for a in enumerate_unconstrained(SpinValue(1))}
-        assert got == {t for t in product((-1, 1), repeat=3)}
+        got = enumerate_unconstrained(SpinValue(1))
+        assert got.shape == (8, 3) and got.dtype == np.int64
+        assert row_set(got) == set(product((-1, 1), repeat=3))
 
     def test_lexicographic_order(self):
         got = enumerate_unconstrained(SpinValue(2))
-        assert got == sorted(got)
-        assert got[0].doubled == (-2, -2, -2)
-        assert got[-1].doubled == (2, 2, 2)
+        assert is_lexicographic(got)
+        assert got[0].tolist() == [-2, -2, -2]
+        assert got[-1].tolist() == [2, 2, 2]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -50,46 +62,71 @@ class TestUnconstrained:
 
 class TestConstrained:
     def test_spin_one(self):
-        got = {a.doubled for a in enumerate_constrained(SpinValue(2))}
-        assert got == signed_permutations((2, 2, 0))
+        got = enumerate_constrained(SpinValue(2))
         assert len(got) == 12
+        assert row_set(got) == signed_permutations((2, 2, 0))
 
     def test_three_halves_empty(self):
-        assert enumerate_constrained(SpinValue(3)) == []
+        got = enumerate_constrained(SpinValue(3))
+        assert got.shape == (0, 3)
 
     def test_spin_two(self):
-        got = [a.doubled for a in enumerate_constrained(SpinValue(4))]
+        got = enumerate_constrained(SpinValue(4))
         assert len(got) == 24
-        assert set(got) == signed_permutations((4, 2, 2))
+        assert row_set(got) == signed_permutations((4, 2, 2))
         # no constrained assignment contains a zero projection
-        assert all(0 not in triple for triple in got)
-        assert all(sorted(map(abs, triple)) == [2, 2, 4] for triple in got)
+        assert np.all(got != 0)
+        assert all(sorted(map(abs, triple)) == [2, 2, 4] for triple in got.tolist())
 
     def test_spin_four(self):
-        got = {a.doubled for a in enumerate_constrained(SpinValue(8))}
-        assert got == signed_permutations((8, 4, 0))
+        got = enumerate_constrained(SpinValue(8))
         assert len(got) == 24
+        assert row_set(got) == signed_permutations((8, 4, 0))
+
+    def test_lexicographic_order(self):
+        for doubled in (1, 2, 4, 5, 8):
+            assert is_lexicographic(enumerate_constrained(SpinValue(doubled)))
 
     def test_subset_of_unconstrained(self):
         for doubled in (1, 2, 4, 5, 8):
             s = SpinValue(doubled)
-            full = set(enumerate_unconstrained(s))
-            assert set(enumerate_constrained(s)) <= full
+            assert row_set(enumerate_constrained(s)) <= row_set(enumerate_unconstrained(s))
 
     def test_squared_sum_is_exact(self):
         for doubled in (1, 2, 4, 8):
             s = SpinValue(doubled)
-            target = conserving_target_doubled(s)
-            for a in enumerate_constrained(s):
-                assert a.squared_doubled_sum() == target
+            got = enumerate_constrained(s)
+            assert np.all(np.square(got).sum(axis=1) == conserving_target_doubled(s))
 
     def test_closure_under_signed_permutations(self):
         for doubled in (1, 2, 4):
             s = SpinValue(doubled)
             for assignments in (enumerate_constrained(s), enumerate_unconstrained(s)):
-                keys = {a.doubled for a in assignments}
+                keys = row_set(assignments)
                 for triple in keys:
                     assert signed_permutations(triple) <= keys
+
+
+class TestExtremeAssignments:
+    def test_constrained_is_the_conserving_set(self):
+        for doubled in (1, 2, 4, 8):
+            s = SpinValue(doubled)
+            assert np.array_equal(extreme_assignments(s, True), enumerate_constrained(s))
+
+    def test_constrained_infeasible_raises(self):
+        with pytest.raises(InfeasibleSpin):
+            extreme_assignments(SpinValue(3), True)
+
+    def test_unconstrained_corners(self):
+        for doubled in (1, 2, 3, 7):
+            got = extreme_assignments(SpinValue(doubled), False)
+            assert is_lexicographic(got)
+            assert row_set(got) == set(product((-doubled, doubled), repeat=3))
+
+    def test_rejects_nonpositive(self):
+        for constrained in (True, False):
+            with pytest.raises(ValueError):
+                extreme_assignments(SpinValue(0), constrained)
 
 
 class TestFeasibleByEnumeration:
@@ -106,7 +143,7 @@ class TestFeasibleByEnumeration:
     def test_matches_enumerate_constrained(self):
         for doubled in range(1, 21):
             s = SpinValue(doubled)
-            assert feasible_by_enumeration(s) == bool(enumerate_constrained(s)), doubled
+            assert feasible_by_enumeration(s) == (len(enumerate_constrained(s)) > 0), doubled
 
 
 class TestSquaredMagnitudeClasses:
@@ -134,5 +171,4 @@ class TestAssignmentType:
         a = Assignment(SpinValue(2), SpinValue(-2), SpinValue(0))
         assert a.doubled == (2, -2, 0)
         assert a.values == (1.0, -1.0, 0.0)
-        assert a.squared_doubled_sum() == 8
         assert str(a) == "(1, -1, 0)"

@@ -107,12 +107,13 @@ class TestWitnesses:
                     assert value == pytest.approx(bound, abs=1e-9)
 
     def test_witnesses_lie_in_their_sets(self):
-        s = SpinValue(4)
-        _, (a, b) = classical_bound(EXAMPLE3, s, constrained=True)
-        from spinhv import enumerate_constrained
+        from spinhv import enumerate_constrained, enumerate_unconstrained
 
-        members = set(enumerate_constrained(s))
-        assert a in members and b in members
+        s = SpinValue(4)
+        for constrained, enumerate in ((True, enumerate_constrained), (False, enumerate_unconstrained)):
+            _, (a, b) = classical_bound(EXAMPLE3, s, constrained)
+            members = set(map(tuple, enumerate(s).tolist()))
+            assert a.doubled in members and b.doubled in members
 
 
 class TestProperties:

@@ -109,6 +109,15 @@ class TestBoundsCommand:
         path.write_text("a b c d e f g h i\n")
         assert run_cli(capsys, "bounds", "--matrix", str(path), "--spin-doubled", "2")[0] == 2
 
+    @pytest.mark.parametrize(
+        "command", [("bounds", "--matrix"), ("membership", "--point")], ids=["matrix", "point"]
+    )
+    def test_overflowing_entry_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "big.txt"
+        path.write_text("1e400 0 0\n0 0 0\n0 0 0\n")
+        subcommand, option = command
+        assert run_cli(capsys, subcommand, option, str(path), "--spin-doubled", "2")[0] == 2
+
     def test_spin_out_of_quantum_range(self, capsys):
         assert run_cli(capsys, "bounds", "--matrix", "identity", "--spin-doubled", "22")[0] == 2
 
@@ -122,6 +131,14 @@ class TestBoundsCommand:
             err = capsys.readouterr().err
             assert code in (0, 4)
             assert code == 0 or err.startswith("numerical failure")
+
+    def test_overflowing_scan_exits_4(self, capsys, tmp_path):
+        # finite entries whose pair table overflows to inf - inf = nan
+        path = tmp_path / "huge.txt"
+        path.write_text("1e308 " * 9)
+        code = main(["bounds", "--matrix", str(path), "--spin-doubled", "2"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numerical failure")
 
 
 class TestTable1Command:
@@ -206,10 +223,11 @@ class TestMembershipCommand:
         code, _ = run_cli(capsys, "membership", "--point", "/nonexistent", "--spin-doubled", "2")
         assert code == 2
 
-    def test_unconstrained_spin_cap(self, capsys, tmp_path):
+    @pytest.mark.parametrize("constrained", [(), ("--constrained",)], ids=["standard", "conserving"])
+    def test_spin_cap(self, capsys, tmp_path, constrained):
         path = tmp_path / "p.txt"
         path.write_text("0 0 0 0 0 0 0 0 0\n")
-        code, _ = run_cli(capsys, "membership", "--point", str(path), "--spin-doubled", "10")
+        code, _ = run_cli(capsys, "membership", "--point", str(path), "--spin-doubled", "41", *constrained)
         assert code == 2
 
 
@@ -232,7 +250,8 @@ class TestReportShape:
         assert report["tolerances"]["classical_target"] == 1e-5
         assert report["tolerances"]["quantum_target"] == 1e-5
 
-    def test_invalid_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINHV_TOLERANCE_OVERRIDE", "not-a-float")
+    @pytest.mark.parametrize("raw", ["not-a-float", "inf", "nan", "0", "-1"])
+    def test_invalid_tolerance_override(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SPINHV_TOLERANCE_OVERRIDE", raw)
         code, _ = run_cli(capsys, "table1", "--max-spin-doubled", "2")
         assert code == 2

@@ -9,6 +9,7 @@ from spinhv import (
     InfeasibleSpin,
     SpinValue,
     classical_bound,
+    enumerate_unconstrained,
     expectation,
     inclusion_check,
     membership,
@@ -28,6 +29,16 @@ def quantum_correlation_point(C, s: SpinValue) -> CorrelationPoint:
     for k, l in itertools.product(range(3), repeat=2):
         entries[k, l] = expectation(state, HermitianOperator(np.kron(ops[k], ops[l])))
     return CorrelationPoint(entries)
+
+
+def full_grid_products(doubled: int) -> np.ndarray:
+    """Quadrupled products of every pair of spectrum-grid assignments, deduplicated.
+
+    The standard polytope's generators before the corner reduction; an
+    oracle only, (2s+1)^6 pairs.
+    """
+    D = enumerate_unconstrained(SpinValue(doubled))
+    return np.unique(np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9), axis=0)
 
 
 def certificate_is_sound(result, vertices: np.ndarray, point: np.ndarray) -> bool:
@@ -143,6 +154,57 @@ class TestMembership:
             membership(too_big, SpinValue(2), constrained=False)
 
 
+class TestCornerPolytope:
+    def test_corner_products_are_32_grid_products(self):
+        for doubled in (1, 2, 3, 4, 7, 40):
+            corners = vertex_array_quadrupled(SpinValue(doubled), False)
+            assert len(corners) == 32
+            assert np.all(np.abs(corners) == doubled * doubled)
+        for doubled in (1, 2, 3):
+            grid = set(map(tuple, full_grid_products(doubled).tolist()))
+            assert set(map(tuple, vertex_array_quadrupled(SpinValue(doubled), False).tolist())) <= grid
+
+    @pytest.mark.parametrize("doubled", [1, 2, 3, 4])
+    def test_full_grid_products_inside(self, doubled):
+        s = SpinValue(doubled)
+        grid = full_grid_products(doubled)
+        if doubled == 4:  # all 7351 take seconds; a seeded sample
+            grid = grid[np.random.default_rng(71).choice(len(grid), size=200, replace=False)]
+        for row in grid:
+            result = membership(CorrelationPoint(row.reshape(3, 3) / 4.0), s, constrained=False)
+            assert result.inside
+            assert result.reconstruction_residual <= 1e-7
+
+    def test_outside_functionals_hold_on_full_grid(self):
+        rng = np.random.default_rng(73)
+        outside = 0
+        for doubled in (1, 2, 3, 4):
+            s = SpinValue(doubled)
+            box = doubled * doubled / 4.0
+            grid = full_grid_products(doubled) / 4.0
+            for _ in range(20):
+                point = CorrelationPoint(rng.uniform(-box, box, size=(3, 3)))
+                result = membership(point, s, constrained=False)
+                if not result.inside:
+                    outside += 1
+                    assert certificate_is_sound(result, grid, point.flat())
+        assert outside >= 40
+
+    @pytest.mark.parametrize("doubled", [2, 4])
+    def test_constrained_vertices_inside_standard(self, doubled):
+        s = SpinValue(doubled)
+        for point in vertex_correlations(s, constrained=True):
+            assert membership(point, s, constrained=False).inside
+
+    def test_origin_inside_at_every_cli_spin(self):
+        origin = CorrelationPoint(np.zeros((3, 3)))
+        for doubled in range(1, 41):
+            result = membership(origin, SpinValue(doubled), constrained=False)
+            assert result.inside, doubled
+            assert result.reconstruction_residual <= 1e-7
+            assert result.weights.sum() == pytest.approx(1.0, abs=1e-8)
+
+
 class TestClassicalBoundConsistency:
     def test_vertex_minimum_matches_classical_bound(self):
         rng = np.random.default_rng(67)
@@ -162,14 +224,12 @@ class TestClassicalBoundConsistency:
 class TestInclusion:
     def test_half_spin_polytopes_coincide(self):
         report = inclusion_check(SpinValue(1))
-        assert report.vertices_subset
         assert report.equal
         assert not report.strict
         assert report.witness is None
 
     def test_spin_one_strict(self):
         report = inclusion_check(SpinValue(2))
-        assert report.vertices_subset
         assert not report.equal
         assert report.strict
         assert report.witness is not None
@@ -183,7 +243,6 @@ class TestInclusion:
 
     def test_spin_two_strict(self):
         report = inclusion_check(SpinValue(4))
-        assert report.vertices_subset
         assert not report.equal
         assert report.strict
 
