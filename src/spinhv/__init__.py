@@ -50,6 +50,7 @@ from .quantum import (
     HermitianOperator,
     StateVector,
     basis_state,
+    bell_action,
     bell_operator,
     euler_from_rotation,
     expectation,
@@ -86,6 +87,7 @@ __all__ = [
     "UnsupportedSpin",
     "ValueNotInSpectrum",
     "basis_state",
+    "bell_action",
     "bell_operator",
     "bounds_report",
     "classical_bound",

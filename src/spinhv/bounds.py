@@ -27,6 +27,7 @@ from .number_theory import SpinValue
 # resolution at which minima are considered tied
 TIE_TOL = 1e-12
 ROTATION_TOL = 1e-12
+# witness and undercut checks allow WITNESS_TOL * max(1, |beta|)
 WITNESS_TOL = 1e-9
 
 
@@ -124,29 +125,32 @@ def classical_bound_bruteforce(
     return _minimize(as_coefficient_matrix(C), rows)
 
 
-def _witness_value(cm: CoefficientMatrix, pair: tuple[Assignment, Assignment]) -> float:
+def _witness_reproduces(
+    cm: CoefficientMatrix, pair: tuple[Assignment, Assignment], beta: float
+) -> bool:
     a, b = pair
     av = np.array(a.doubled, dtype=float) / 2.0
     bv = np.array(b.doubled, dtype=float) / 2.0
-    return float(av @ cm.entries @ bv)
+    return abs(float(av @ cm.entries @ bv) - beta) <= WITNESS_TOL * max(1.0, abs(beta))
 
 
 def bounds_report(C, s: SpinValue) -> BoundsReport:
     """Both classical bounds for one matrix and spin.
 
     Raises BoundCheckFailure when a witness does not reproduce its bound
-    or the conserving bound falls below the standard one.
+    or the conserving bound falls below the standard one, both relative
+    to the scale of the bound.
     """
     cm = as_coefficient_matrix(C)
     beta_bar, w_bar = classical_bound(cm, s, constrained=False)
-    if abs(_witness_value(cm, w_bar) - beta_bar) > WITNESS_TOL:
+    if not _witness_reproduces(cm, w_bar, beta_bar):
         raise BoundCheckFailure("witness does not reproduce its bound")
     try:
         beta, w = classical_bound(cm, s, constrained=True)
     except InfeasibleSpin:
         return BoundsReport(None, beta_bar, None, w_bar, constrained_infeasible=True)
-    if abs(_witness_value(cm, w) - beta) > WITNESS_TOL:
+    if not _witness_reproduces(cm, w, beta):
         raise BoundCheckFailure("witness does not reproduce its bound")
-    if beta < beta_bar - WITNESS_TOL:
+    if beta < beta_bar - WITNESS_TOL * max(1.0, abs(beta_bar)):
         raise BoundCheckFailure("constrained bound undercuts the unconstrained one")
     return BoundsReport(beta, beta_bar, w, w_bar)

@@ -30,8 +30,7 @@ from .number_theory import SpinValue, magnitude_feasible
 from .polytope import CorrelationPoint, membership
 from .quantum import (
     MAX_SPIN_DOUBLED,
-    bell_operator,
-    expectation,
+    bell_action,
     quantum_bound,
     rotated_singlet,
     schmidt_coefficients,
@@ -216,7 +215,8 @@ def cmd_table1(args) -> tuple[dict, int]:
             beta = None
         beta_bar, _ = classical_bound(ROTATION_Z45, s, constrained=False)
         quantum_value = -doubled * (doubled + 2) / 4.0
-        measured = expectation(rotated_singlet(ROTATION_Z45, s), bell_operator(ROTATION_Z45, s))
+        singlet = rotated_singlet(ROTATION_Z45, s)
+        measured = float(np.vdot(singlet.amplitudes, bell_action(ROTATION_Z45, s, singlet)).real)
         row = {
             "spin": str(s),
             "spin_doubled": doubled,

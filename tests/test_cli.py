@@ -4,9 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from spinhv import HermitianOperator, SpinValue, expectation, quantum_bound, spin_operators
+from spinhv import (
+    HermitianOperator,
+    SpinValue,
+    bell_operator,
+    expectation,
+    quantum_bound,
+    spin_operators,
+)
 from spinhv.cli import main
 from spinhv.matrices import EXAMPLE1
+from spinhv.quantum import EIG_RESIDUAL_TOL
 
 
 def run_cli(capsys, *argv):
@@ -119,18 +127,26 @@ class TestBoundsCommand:
         assert run_cli(capsys, subcommand, option, str(path), "--spin-doubled", "2")[0] == 2
 
     def test_spin_out_of_quantum_range(self, capsys):
-        assert run_cli(capsys, "bounds", "--matrix", "identity", "--spin-doubled", "22")[0] == 2
+        assert run_cli(capsys, "bounds", "--matrix", "identity", "--spin-doubled", "41")[0] == 2
+
+    def test_top_spin(self, capsys):
+        code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", "40")
+        assert code == 0
+        assert len(report["results"]["optimal_state_schmidt"]) == 41
 
     def test_scaled_matrices_exit_without_traceback(self, capsys, tmp_path):
-        # at this scale the absolute witness and eigenpair checks can fail on
-        # rounding alone; a failed check is exit code 4, never a traceback
+        # the witness and eigenpair checks are relative to the problem scale,
+        # so matrices of norm ~1e6 answer like unit-scale ones
+        s = SpinValue(7)
         for seed in range(20):
+            matrix = np.random.default_rng(seed).normal(size=(3, 3)) * 1e6
             path = tmp_path / f"m{seed}.txt"
-            np.savetxt(path, np.random.default_rng(seed).normal(size=(3, 3)) * 1e6)
-            code = main(["bounds", "--matrix", str(path), "--spin-doubled", "7"])
-            err = capsys.readouterr().err
-            assert code in (0, 4)
-            assert code == 0 or err.startswith("numerical failure")
+            np.savetxt(path, matrix)
+            code, report = run_cli(capsys, "bounds", "--matrix", str(path), "--spin-doubled", "7")
+            assert code == 0
+            reference = np.linalg.eigvalsh(bell_operator(matrix, s).entries)[0]
+            scale = max(1.0, float(np.linalg.norm(matrix)) * s.value * (s.value + 1.0))
+            assert abs(report["results"]["beta_quantum"] - reference) <= EIG_RESIDUAL_TOL * scale
 
     def test_overflowing_scan_exits_4(self, capsys, tmp_path):
         # finite entries whose pair table overflows to inf - inf = nan
@@ -155,7 +171,16 @@ class TestTable1Command:
             assert all(rows[doubled]["passed"].values())
 
     def test_out_of_range(self, capsys):
-        assert run_cli(capsys, "table1", "--max-spin-doubled", "40")[0] == 2
+        assert run_cli(capsys, "table1", "--max-spin-doubled", "41")[0] == 2
+
+    def test_top_spin_reaches_minus_s_s_plus_one(self, capsys):
+        code, report = run_cli(capsys, "table1", "--max-spin-doubled", "40")
+        assert code == 0
+        rows = report["results"]["rows"]
+        assert [row["spin_doubled"] for row in rows] == list(range(1, 41))
+        for row in rows:
+            target = row["minus_s_s_plus_1"]
+            assert abs(row["rotated_singlet_expectation"] - target) <= 1e-12 * abs(target)
 
     def test_target_mismatch_exits_3(self, capsys, monkeypatch):
         import spinhv.cli as cli_module

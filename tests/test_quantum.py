@@ -13,6 +13,7 @@ from spinhv import (
     UnsupportedSpin,
     ValueNotInSpectrum,
     basis_state,
+    bell_action,
     bell_operator,
     classical_bound,
     euler_from_rotation,
@@ -25,7 +26,8 @@ from spinhv import (
     singlet_state,
     spin_operators,
 )
-from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, ROTATION_Z45
+from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRICES, ROTATION_Z45
+from spinhv.quantum import EIG_RESIDUAL_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,7 +69,7 @@ class TestSpinOperators:
         with pytest.raises(UnsupportedSpin):
             spin_operators(SpinValue(0))
         with pytest.raises(UnsupportedSpin):
-            spin_operators(SpinValue(21))
+            spin_operators(SpinValue(41))
 
 
 class TestBellOperator:
@@ -101,14 +103,76 @@ class TestQuantumBound:
         assert value == pytest.approx(-20.1897, abs=5e-4)
 
     def test_rotation_reaches_minus_s_s_plus_one(self):
-        for doubled in (2, 4, 6, 8):
+        for doubled in range(1, 41):
             value, _ = quantum_bound(ROTATION_Z45, SpinValue(doubled))
-            assert value == pytest.approx(-spin_squared(doubled), abs=1e-9)
+            assert value == pytest.approx(-spin_squared(doubled), abs=1e-12 * spin_squared(doubled))
 
     def test_examples_violate_conserving_bound(self):
         for C, doubled in ((EXAMPLE1, 2), (EXAMPLE2, 2), (EXAMPLE3, 4)):
             beta = classical_bound(C, SpinValue(doubled), constrained=True)[0]
             assert quantum_bound(C, SpinValue(doubled))[0] < beta
+
+
+def _oracle_matrices() -> list[np.ndarray]:
+    rng = np.random.default_rng(2024)
+    reflection = np.diag([1.0, 1.0, -1.0])
+    rotation = ROTATION_Z45 @ np.array([[1.0, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6]])
+    matrices = [np.asarray(m, dtype=float) for m in NAMED_MATRICES.values()]
+    matrices += [rng.normal(size=(3, 3)) for _ in range(20)]
+    matrices += [rng.integers(-3, 4, size=(3, 3)).astype(float) for _ in range(20)]
+    matrices += [np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0])]
+    # reflections, det C < 0
+    matrices += [-IDENTITY, reflection, -ROTATION_Z45, rotation @ reflection, -2.0 * rotation]
+    # repeated singular values
+    matrices += [np.diag([2.0, 2.0, 1.0]), 3.0 * np.diag([1.0, -1.0, 1.0])]
+    matrices += [rotation @ np.diag([1.0, 1.0, 0.5])]
+    # gimbal-locked rotations: pi about z and about x
+    matrices += [np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0])]
+    return matrices
+
+
+class TestDiagonalReduction:
+    """quantum_bound against the dense Bell operator and its eigensolver."""
+
+    @pytest.mark.parametrize("doubled", range(1, 21))
+    def test_matches_dense_eigensolve(self, doubled):
+        s = SpinValue(doubled)
+        d = doubled + 1
+        for C in _oracle_matrices():
+            H = bell_operator(C, s).entries
+            eigenvalues, eigenvectors = np.linalg.eigh(H)
+            value, state = quantum_bound(C, s)
+            assert abs(value - eigenvalues[0]) <= 1e-10 * max(1.0, abs(eigenvalues[0]))
+            scale = max(1.0, float(np.linalg.norm(C)) * spin_squared(doubled))
+            residual = np.linalg.norm(H @ state.amplitudes - value * state.amplitudes)
+            assert residual <= EIG_RESIDUAL_TOL * scale
+            # a degenerate ground state has no unique Schmidt coefficients, and
+            # both paths resolve an eigenvector to about eps * scale / gap
+            if eigenvalues[1] - eigenvalues[0] > 1e-6 * scale:
+                dense = np.linalg.svd(eigenvectors[:, 0].reshape(d, d), compute_uv=False)
+                assert np.max(np.abs(schmidt_coefficients(state, s) - dense)) <= 1e-8
+
+    def test_random_matrices_never_raise(self):
+        rng = np.random.default_rng(7)
+        s = SpinValue(3)
+        for _ in range(200):
+            C = rng.normal(size=(3, 3))
+            value, state = quantum_bound(C, s)
+            assert np.linalg.norm(bell_action(C, s, state) - value * state.amplitudes) <= 1e-9
+
+    def test_bell_action_matches_dense_operator(self):
+        rng = np.random.default_rng(11)
+        for doubled in (1, 2, 5):
+            s = SpinValue(doubled)
+            C = rng.normal(size=(3, 3))
+            amps = rng.normal(size=(doubled + 1) ** 2) + 1j * rng.normal(size=(doubled + 1) ** 2)
+            state = StateVector(amps / np.linalg.norm(amps))
+            dense = bell_operator(C, s).entries @ state.amplitudes
+            assert np.linalg.norm(bell_action(C, s, state) - dense) <= 1e-12
+
+    def test_bell_action_dimension_check(self):
+        with pytest.raises(DimensionMismatch):
+            bell_action(IDENTITY, SpinValue(2), singlet_state(SpinValue(1)))
 
 
 class TestSinglet:
