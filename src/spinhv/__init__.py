@@ -6,7 +6,6 @@ constructions, and LP membership in the correlation polytopes.
 """
 
 from .assignments import (
-    Assignment,
     enumerate_constrained,
     enumerate_unconstrained,
     feasible_by_enumeration,
@@ -66,7 +65,6 @@ from .quantum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "BoundCheckFailure",
     "BoundsReport",
     "CoefficientMatrix",

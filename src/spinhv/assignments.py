@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -13,25 +12,6 @@ from .number_theory import SpinValue
 
 # signs of the spectrum corners, ascending lexicographic like the full grid
 _CORNER_SIGNS = np.array(list(product((-1, 1), repeat=3)), dtype=np.int64)
-
-
-class Assignment(NamedTuple):
-    """Projection values preassigned to the x, y and z axes."""
-
-    x: SpinValue
-    y: SpinValue
-    z: SpinValue
-
-    @property
-    def doubled(self) -> tuple[int, int, int]:
-        return (self.x.doubled, self.y.doubled, self.z.doubled)
-
-    @property
-    def values(self) -> tuple[float, float, float]:
-        return (self.x.value, self.y.value, self.z.value)
-
-    def __str__(self) -> str:
-        return f"({self.x}, {self.y}, {self.z})"
 
 
 def _require_positive(s: SpinValue) -> None:

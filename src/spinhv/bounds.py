@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignments import Assignment, enumerate_unconstrained, extreme_assignments
+from .assignments import enumerate_unconstrained, extreme_assignments
 from .errors import BoundCheckFailure, InfeasibleSpin, NonFiniteMatrix
 from .number_theory import SpinValue
 
@@ -58,10 +58,11 @@ def as_coefficient_matrix(C) -> CoefficientMatrix:
     return CoefficientMatrix(np.asarray(C, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
     """Both classical bounds with their minimizing assignment pairs.
 
+    Each witness is a (2, 3) int64 array, the doubled rows [2a, 2b].
     beta_constrained is None (and constrained_infeasible is True) when no
     magnitude-conserving assignment exists for the spin, in which case the
     inequality refutes the conserving model state-independently.
@@ -69,13 +70,9 @@ class BoundsReport:
 
     beta_constrained: float | None
     beta_unconstrained: float
-    witness_constrained: tuple[Assignment, Assignment] | None
-    witness_unconstrained: tuple[Assignment, Assignment]
+    witness_constrained: np.ndarray | None
+    witness_unconstrained: np.ndarray
     constrained_infeasible: bool = False
-
-
-def _assignment(row: np.ndarray) -> Assignment:
-    return Assignment(*(SpinValue(d) for d in row.tolist()))
 
 
 def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
@@ -90,32 +87,29 @@ def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
     return best, int(ii[k]), int(jj[k])
 
 
-def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, tuple[Assignment, Assignment]]:
+def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum of a . C . b with a and b both ranging over the doubled rows."""
     values = doubled / 2.0
     table = values @ (cm.entries @ values.T)
     if not np.all(np.isfinite(table)):
         raise BoundCheckFailure("pair table overflows to non-finite values")
     best, i, j = _select_pair(table)
-    return best, (_assignment(doubled[i]), _assignment(doubled[j]))
+    return best, doubled[[i, j]]
 
 
-def classical_bound(
-    C, s: SpinValue, constrained: bool
-) -> tuple[float, tuple[Assignment, Assignment]]:
+def classical_bound(C, s: SpinValue, constrained: bool) -> tuple[float, np.ndarray]:
     """Discrete minimum of a . C . b over one party's assignment set squared.
 
-    Returns the bound and a minimizing (a, b) pair; among ties the pair
-    with the smallest b, then smallest a, in component order.  The
-    unconstrained minimum is taken over the 8 spectrum corners only.
+    Returns the bound and a minimizing pair as a (2, 3) array of doubled
+    rows [2a, 2b]; among ties the pair with the smallest b, then smallest
+    a, in component order.  The unconstrained minimum is taken over the 8
+    spectrum corners only.
     Raises InfeasibleSpin when constrained and the conserving set is empty.
     """
     return _minimize(as_coefficient_matrix(C), extreme_assignments(s, constrained))
 
 
-def classical_bound_bruteforce(
-    C, s: SpinValue, constrained: bool
-) -> tuple[float, tuple[Assignment, Assignment]]:
+def classical_bound_bruteforce(C, s: SpinValue, constrained: bool) -> tuple[float, np.ndarray]:
     """Reference scan over the explicit pair set, all (2s+1)^3 when unconstrained.
 
     Ground truth for the corner reduction in classical_bound; quadratic
@@ -125,13 +119,9 @@ def classical_bound_bruteforce(
     return _minimize(as_coefficient_matrix(C), rows)
 
 
-def _witness_reproduces(
-    cm: CoefficientMatrix, pair: tuple[Assignment, Assignment], beta: float
-) -> bool:
-    a, b = pair
-    av = np.array(a.doubled, dtype=float) / 2.0
-    bv = np.array(b.doubled, dtype=float) / 2.0
-    return abs(float(av @ cm.entries @ bv) - beta) <= WITNESS_TOL * max(1.0, abs(beta))
+def _witness_reproduces(cm: CoefficientMatrix, pair: np.ndarray, beta: float) -> bool:
+    a, b = pair / 2.0
+    return abs(float(a @ cm.entries @ b) - beta) <= WITNESS_TOL * max(1.0, abs(beta))
 
 
 def bounds_report(C, s: SpinValue) -> BoundsReport:

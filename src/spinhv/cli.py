@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -19,15 +18,15 @@ import numpy as np
 
 from . import __version__
 from .assignments import (
-    enumerate_constrained,
+    conserving_target_doubled,
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from .bounds import bounds_report, classical_bound
+from .bounds import WITNESS_TOL, bounds_report, classical_bound
 from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45, named_matrix
 from .number_theory import SpinValue, magnitude_feasible
-from .polytope import CorrelationPoint, membership
+from .polytope import MEMBERSHIP_TOL, CorrelationPoint, membership
 from .quantum import (
     MAX_SPIN_DOUBLED,
     bell_action,
@@ -36,9 +35,6 @@ from .quantum import (
     schmidt_coefficients,
 )
 
-TOLERANCE_ENV = "SPINHV_TOLERANCE_OVERRIDE"
-
-MAX_ENUMERATION_DOUBLED = 40  # keeps the pair scans in bounds under a minute
 MAX_FORMULA_DOUBLED = 2000
 MAX_ORACLE_DOUBLED = 200
 
@@ -59,19 +55,6 @@ TABLE1_QUANTUM_TOL = 1e-8
 
 class CliInputError(Exception):
     pass
-
-
-def _tolerance(default: float) -> float:
-    raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CliInputError(f"{TOLERANCE_ENV} is not a float: {raw!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise CliInputError(f"{TOLERANCE_ENV} must be finite and positive, got {raw!r}")
-    return value
 
 
 def _report(command: str, inputs: dict, tolerances: dict, results: dict) -> dict:
@@ -136,13 +119,15 @@ def _spin(doubled: int, low: int, high: int, what: str) -> SpinValue:
 def _witness_payload(pair) -> dict | None:
     if pair is None:
         return None
-    a, b = pair
-    return {
-        "a_doubled": list(a.doubled),
-        "b_doubled": list(b.doubled),
-        "a": [float(v) for v in a.values],
-        "b": [float(v) for v in b.values],
-    }
+    a, b = pair.tolist()
+    a_value, b_value = (pair / 2.0).tolist()
+    return {"a_doubled": a, "b_doubled": b, "a": a_value, "b": b_value}
+
+
+def _violates(beta_q: float, beta: float) -> bool:
+    # a quantum value equal to the classical bound in exact arithmetic is no
+    # violation, whichever way the last bit rounds
+    return bool(beta_q < beta - WITNESS_TOL * max(1.0, abs(beta)))
 
 
 def cmd_feasibility(args) -> tuple[dict, int]:
@@ -153,14 +138,14 @@ def cmd_feasibility(args) -> tuple[dict, int]:
 
     results = {
         "spin": str(s),
-        "conserving_squared_sum": str(Fraction(s.doubled * (s.doubled + 2), 4)),
+        "conserving_squared_sum": str(Fraction(conserving_target_doubled(s), 4)),
         "feasible_by_formula": formula,
         "feasible_by_enumeration": oracle,
         "agreement": agree,
     }
-    if s.doubled <= MAX_ENUMERATION_DOUBLED:
+    if s.doubled <= MAX_SPIN_DOUBLED:
         classes = squared_magnitude_classes(s)
-        results["constrained_assignments"] = len(enumerate_constrained(s))
+        results["constrained_assignments"] = classes.get(conserving_target_doubled(s), 0)
         results["squared_magnitude_classes"] = [
             {"squared_sum": str(Fraction(key, 4)), "count": classes[key]}
             for key in sorted(classes, reverse=True)
@@ -192,18 +177,16 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "witness_unconstrained": _witness_payload(rep.witness_unconstrained),
         "optimal_state_schmidt": [float(v) for v in schmidt],
         "violates_constrained": (
-            None if rep.beta_constrained is None else bool(beta_q < rep.beta_constrained)
+            None if rep.beta_constrained is None else _violates(beta_q, rep.beta_constrained)
         ),
-        "violates_unconstrained": bool(beta_q < rep.beta_unconstrained),
+        "violates_unconstrained": _violates(beta_q, rep.beta_unconstrained),
     }
-    report = _report("bounds", inputs, {"witness_check": 1e-9}, results)
+    report = _report("bounds", inputs, {"witness_check": WITNESS_TOL}, results)
     return report, 0
 
 
 def cmd_table1(args) -> tuple[dict, int]:
     max_s = _spin(args.max_spin_doubled, 1, MAX_SPIN_DOUBLED, "table1")
-    tol_classical = _tolerance(TABLE1_CLASSICAL_TOL)
-    tol_quantum = _tolerance(TABLE1_QUANTUM_TOL)
 
     rows = []
     mismatch = False
@@ -214,7 +197,7 @@ def cmd_table1(args) -> tuple[dict, int]:
         except InfeasibleSpin:
             beta = None
         beta_bar, _ = classical_bound(ROTATION_Z45, s, constrained=False)
-        quantum_value = -doubled * (doubled + 2) / 4.0
+        quantum_value = -conserving_target_doubled(s) / 4.0
         singlet = rotated_singlet(ROTATION_Z45, s)
         measured = float(np.vdot(singlet.amplitudes, bell_action(ROTATION_Z45, s, singlet)).real)
         row = {
@@ -228,9 +211,9 @@ def cmd_table1(args) -> tuple[dict, int]:
         if doubled in TABLE1_TARGETS:
             t_beta, t_bar, t_quantum = TABLE1_TARGETS[doubled]
             checks = {
-                "beta_constrained": beta is not None and abs(beta - t_beta) <= tol_classical,
-                "beta_unconstrained": abs(beta_bar - t_bar) <= tol_classical,
-                "quantum": abs(measured - t_quantum) <= tol_quantum,
+                "beta_constrained": beta is not None and abs(beta - t_beta) <= TABLE1_CLASSICAL_TOL,
+                "beta_unconstrained": abs(beta_bar - t_bar) <= TABLE1_CLASSICAL_TOL,
+                "quantum": abs(measured - t_quantum) <= TABLE1_QUANTUM_TOL,
             }
             row["targets"] = {
                 "beta_constrained": t_beta,
@@ -245,7 +228,7 @@ def cmd_table1(args) -> tuple[dict, int]:
     report = _report(
         "table1",
         {"max_spin_doubled": max_s.doubled, "matrix": "eq9-rotation"},
-        {"classical_target": tol_classical, "quantum_target": tol_quantum},
+        {"classical_target": TABLE1_CLASSICAL_TOL, "quantum_target": TABLE1_QUANTUM_TOL},
         {"rows": rows, "all_targets_passed": not mismatch},
     )
     return report, 3 if mismatch else 0
@@ -253,12 +236,11 @@ def cmd_table1(args) -> tuple[dict, int]:
 
 def cmd_membership(args) -> tuple[dict, int]:
     point_entries = _load_point(args.point)
-    s = _spin(args.spin_doubled, 1, MAX_ENUMERATION_DOUBLED, "membership")
-    tol = _tolerance(1e-8)
+    s = _spin(args.spin_doubled, 1, MAX_SPIN_DOUBLED, "membership")
 
     try:
         point = CorrelationPoint(point_entries)
-        result = membership(point, s, constrained=args.constrained, tol=tol)
+        result = membership(point, s, constrained=args.constrained)
     except (InfeasibleSpin, ValueError) as exc:
         raise CliInputError(str(exc)) from exc
 
@@ -287,7 +269,7 @@ def cmd_membership(args) -> tuple[dict, int]:
             "spin_doubled": s.doubled,
             "constrained": args.constrained,
         },
-        {"membership": tol},
+        {"membership": MEMBERSHIP_TOL},
         results,
     )
     return report, 0

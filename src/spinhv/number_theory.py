@@ -3,9 +3,9 @@
 A spin-s hidden-variable model that conserves the magnitude must pick
 projections (s_x, s_y, s_z) from the operator spectrum with
 s_x^2 + s_y^2 + s_z^2 = s(s+1).  Whether such a triple exists at all is a
-pure number-theory question, settled here by residue tests after stripping
-powers of four.  Everything works on doubled integers so half-integer
-spins stay exact.
+pure number-theory question: Legendre's three-square theorem for integer
+spins, a residue test mod 4 for half-integer ones.  Everything works on
+doubled integers so half-integer spins stay exact.
 """
 
 from __future__ import annotations
@@ -61,38 +61,18 @@ def is_sum_of_three_squares(n: int) -> bool:
     return n % 8 != 7
 
 
-def _strip_fours(n: int) -> tuple[int, int]:
-    """Largest power of four dividing n, as (remainder, exponent)."""
-    a = 0
-    while n % 4 == 0:
-        n //= 4
-        a += 1
-    return n, a
-
-
 def magnitude_feasible(s: SpinValue) -> bool:
     """Whether some projection triple of spin s has squared sum s(s+1).
 
-    Half-integer s: solvable exactly when 2s = 1 (mod 4).  Integer s:
-    solvable unless stripping fours from s (s even) or from s+1 (s odd)
-    leaves an odd remainder in the obstructed residue class mod 8.
+    Half-integer s: solvable exactly when 2s = 1 (mod 4).  Integer s = n:
+    Legendre's three-square theorem applied to n(n+1).
     """
     if s.doubled < 1:
         raise ValueError("spin magnitude must be positive")
     if s.doubled % 2 != 0:
         return s.doubled % 4 == 1
-
     n = s.doubled // 2
-    if n % 2 == 0:
-        t, a = _strip_fours(n)
-        if t % 2 == 0:
-            # odd 2-adic valuation, s(s+1) cannot match an obstructed form
-            return True
-        return not ((a == 1 and t % 8 == 3) or (a >= 2 and t % 8 == 7))
-    t, a = _strip_fours(n + 1)
-    if t % 2 == 0:
-        return True
-    return not ((a == 1 and t % 8 == 5) or (a >= 2 and t % 8 == 1))
+    return is_sum_of_three_squares(n * (n + 1))
 
 
 def infeasible_spins_up_to(max_doubled: int) -> list[SpinValue]:

@@ -67,9 +67,11 @@ class MembershipResult:
 
 @dataclass(frozen=True, eq=False)
 class InclusionReport:
-    """Outcome of comparing the constrained and unconstrained polytopes."""
+    """Outcome of comparing the constrained and unconstrained polytopes.
 
-    equal: bool
+    The two are equal exactly when strict is False.
+    """
+
     strict: bool
     witness: CorrelationPoint | None = None
     witness_certificate: MembershipResult | None = None
@@ -92,9 +94,7 @@ def vertex_correlations(s: SpinValue, constrained: bool) -> list[CorrelationPoin
     return [CorrelationPoint(row.reshape(3, 3) / 4.0) for row in quadrupled]
 
 
-def membership(
-    point: CorrelationPoint, s: SpinValue, constrained: bool, tol: float = MEMBERSHIP_TOL
-) -> MembershipResult:
+def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> MembershipResult:
     """Whether the point is a convex combination of the polytope's vertices.
 
     Raises LpNumericalFailure when neither the weights nor the separating
@@ -108,12 +108,12 @@ def membership(
     n = len(vertices)
     A = np.vstack([vertices.T, np.ones((1, n))])
     rhs = np.append(target, 1.0)
-    outcome = solve_equality_lp(A, rhs, feas_tol=tol)
+    outcome = solve_equality_lp(A, rhs, feas_tol=MEMBERSHIP_TOL)
 
     if outcome.feasible:
         weights = outcome.x
         residual = float(np.max(np.abs(vertices.T @ weights - target)))
-        if residual > max(RECONSTRUCTION_TOL, 10 * tol):
+        if residual > RECONSTRUCTION_TOL:
             raise LpNumericalFailure(
                 f"inside verdict but reconstruction residual {residual:.3e}"
             )
@@ -153,7 +153,5 @@ def inclusion_check(s: SpinValue) -> InclusionReport:
         candidate = CorrelationPoint(row.reshape(3, 3) / 4.0)
         result = membership(candidate, s, constrained=True)
         if not result.inside:
-            return InclusionReport(
-                equal=False, strict=True, witness=candidate, witness_certificate=result
-            )
-    return InclusionReport(equal=True, strict=False)
+            return InclusionReport(strict=True, witness=candidate, witness_certificate=result)
+    return InclusionReport(strict=False)

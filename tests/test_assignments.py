@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinhv import (
-    Assignment,
     InfeasibleSpin,
     SpinValue,
     enumerate_constrained,
@@ -164,11 +163,3 @@ class TestSquaredMagnitudeClasses:
         for doubled in (1, 2, 3, 4):
             classes = squared_magnitude_classes(SpinValue(doubled))
             assert sum(classes.values()) == (doubled + 1) ** 3
-
-
-class TestAssignmentType:
-    def test_component_access(self):
-        a = Assignment(SpinValue(2), SpinValue(-2), SpinValue(0))
-        assert a.doubled == (2, -2, 0)
-        assert a.values == (1.0, -1.0, 0.0)
-        assert str(a) == "(1, -1, 0)"

@@ -8,12 +8,15 @@ from spinhv import (
     HermitianOperator,
     SpinValue,
     bell_operator,
+    enumerate_constrained,
     expectation,
     quantum_bound,
     spin_operators,
 )
-from spinhv.cli import main
+from spinhv.bounds import WITNESS_TOL
+from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, main
 from spinhv.matrices import EXAMPLE1
+from spinhv.polytope import MEMBERSHIP_TOL
 from spinhv.quantum import EIG_RESIDUAL_TOL
 
 
@@ -51,6 +54,12 @@ class TestFeasibilityCommand:
         assert report["results"]["feasible_by_formula"] is True
         assert report["results"]["constrained_assignments"] == 12
 
+    def test_constrained_count_matches_enumeration(self, capsys):
+        for doubled in range(1, 41):
+            _, report = run_cli(capsys, "feasibility", "--spin-doubled", str(doubled))
+            expected = len(enumerate_constrained(SpinValue(doubled)))
+            assert report["results"]["constrained_assignments"] == expected, doubled
+
     def test_large_spin_skips_oracle(self, capsys):
         code, report = run_cli(capsys, "feasibility", "--spin-doubled", "1999")
         assert code == 0
@@ -72,6 +81,7 @@ class TestBoundsCommand:
         assert results["beta_quantum"] == pytest.approx(-2.5616, abs=5e-4)
         assert results["violates_constrained"] is True
         assert results["violates_unconstrained"] is False
+        assert report["tolerances"] == {"witness_check": WITNESS_TOL}
 
     def test_example3(self, capsys):
         code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", "4")
@@ -103,6 +113,19 @@ class TestBoundsCommand:
         assert code == 0
         assert report["results"]["constrained_infeasible"] is True
         assert report["results"]["beta_constrained"] is None
+
+    def test_equal_bounds_are_no_violation(self, capsys):
+        # for identity beta_q = beta = -s(s+1) exactly, so neither flag may
+        # depend on how the last bit of either value rounds
+        for doubled in range(1, 41):
+            code, report = run_cli(
+                capsys, "bounds", "--matrix", "identity", "--spin-doubled", str(doubled)
+            )
+            assert code == 0
+            assert report["results"]["violates_constrained"] in (False, None), doubled
+            assert report["results"]["violates_unconstrained"] is False, doubled
+        _, report = run_cli(capsys, "bounds", "--matrix", "example1", "--spin-doubled", "2")
+        assert report["results"]["violates_constrained"] is True
 
     def test_unknown_matrix(self, capsys):
         assert run_cli(capsys, "bounds", "--matrix", "nosuch", "--spin-doubled", "2")[0] == 2
@@ -161,6 +184,10 @@ class TestTable1Command:
     def test_targets_pass(self, capsys):
         code, report = run_cli(capsys, "table1", "--max-spin-doubled", "8")
         assert code == 0
+        assert report["tolerances"] == {
+            "classical_target": TABLE1_CLASSICAL_TOL,
+            "quantum_target": TABLE1_QUANTUM_TOL,
+        }
         results = report["results"]
         assert results["all_targets_passed"] is True
         rows = {row["spin_doubled"]: row for row in results["rows"]}
@@ -212,6 +239,7 @@ class TestMembershipCommand:
             "--spin-doubled", "2", "--constrained",
         )
         assert code == 0
+        assert report["tolerances"] == {"membership": MEMBERSHIP_TOL}
         results = report["results"]
         assert results["inside"] is False
         assert results["functional_value_at_point"] < results["functional_bound"]
@@ -268,15 +296,3 @@ class TestReportShape:
     def test_field_order(self, capsys):
         _, report = run_cli(capsys, "feasibility", "--spin-doubled", "2")
         assert list(report) == ["command", "version", "timestamp", "inputs", "tolerances", "results"]
-
-    def test_tolerance_override_reflected(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINHV_TOLERANCE_OVERRIDE", "1e-5")
-        _, report = run_cli(capsys, "table1", "--max-spin-doubled", "2")
-        assert report["tolerances"]["classical_target"] == 1e-5
-        assert report["tolerances"]["quantum_target"] == 1e-5
-
-    @pytest.mark.parametrize("raw", ["not-a-float", "inf", "nan", "0", "-1"])
-    def test_invalid_tolerance_override(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("SPINHV_TOLERANCE_OVERRIDE", raw)
-        code, _ = run_cli(capsys, "table1", "--max-spin-doubled", "2")
-        assert code == 2

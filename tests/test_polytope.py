@@ -224,13 +224,11 @@ class TestClassicalBoundConsistency:
 class TestInclusion:
     def test_half_spin_polytopes_coincide(self):
         report = inclusion_check(SpinValue(1))
-        assert report.equal
         assert not report.strict
         assert report.witness is None
 
     def test_spin_one_strict(self):
         report = inclusion_check(SpinValue(2))
-        assert not report.equal
         assert report.strict
         assert report.witness is not None
         assert not report.witness_certificate.inside
@@ -243,7 +241,6 @@ class TestInclusion:
 
     def test_spin_two_strict(self):
         report = inclusion_check(SpinValue(4))
-        assert not report.equal
         assert report.strict
 
     def test_infeasible_spin(self):
