@@ -47,8 +47,10 @@ class CoefficientMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        orthogonal = float(np.max(np.abs(m.T @ m - np.eye(3)))) <= ROTATION_TOL
-        unit_det = abs(float(np.linalg.det(m)) - 1.0) <= ROTATION_TOL
+        # a finite matrix may still overflow here; it is then no rotation
+        with np.errstate(over="ignore", invalid="ignore"):
+            orthogonal = float(np.max(np.abs(m.T @ m - np.eye(3)))) <= ROTATION_TOL
+            unit_det = abs(float(np.linalg.det(m)) - 1.0) <= ROTATION_TOL
         object.__setattr__(self, "is_rotation", orthogonal and unit_det)
 
 
@@ -90,7 +92,8 @@ def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
 def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum of a . C . b with a and b both ranging over the doubled rows."""
     values = doubled / 2.0
-    table = values @ (cm.entries @ values.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = values @ (cm.entries @ values.T)
     if not np.all(np.isfinite(table)):
         raise BoundCheckFailure("pair table overflows to non-finite values")
     best, i, j = _select_pair(table)

@@ -11,11 +11,19 @@ P^T and Q^T
 
 B and D share their spectrum, and their ground states differ by a local
 unitary, which keeps the Schmidt coefficients.  D is real in the S_z
-basis, since S_y (x) S_y = -(i S_y) (x) (i S_y) and i S_y is real, and it
-changes m_A + m_B by 0 or +-2 only, so it splits into two blocks by the
-parity of i + j over basis indices (i, j).  Each block, about half the
-size of B, goes to a real symmetric eigensolver, and the winning vector is
-rotated back.  bell_operator keeps the dense B as the reference oracle.
+basis, since S_y (x) S_y = -(i S_y) (x) (i S_y) and i S_y is real.  It
+changes m_A + m_B by 0 or +-2 only, so it keeps the parity of i + j over
+basis indices (i, j), and it commutes with two index permutations that
+keep that parity: the flip (i, j) -> (d-1-i, d-1-j), up to sign a
+rotation by pi about x on both parties, and the swap (i, j) -> (j, i).
+So D splits into 8 real blocks, one per parity and character of
+{1, flip, swap, flip swap}; the largest has 66 rows at 2s = 20 and 231
+at 2s = 40.  The least eigenvalue of every block is found, the
+eigenvector of the lowest block only, and it is mapped back and rotated
+back.  The eigenpair residual against B shows the value is near an
+eigenvalue; a Cholesky factor of every block shifted just below it shows
+no eigenvalue lies lower.  bell_operator keeps the dense B as the
+reference oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -42,7 +51,7 @@ UNITARITY_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
 GIMBAL_TOL = 1e-12
 
-# the parity blocks of D stay below 841 x 841 up to 2s = 40
+# the largest symmetry block of D has 231 rows at 2s = 40
 MAX_SPIN_DOUBLED = 40
 
 _AXES = ("x", "y", "z")
@@ -129,17 +138,65 @@ def _sy_eigenbasis(doubled: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_spin_matrices(doubled)[1])
 
 
-@lru_cache(maxsize=None)
-def _parity_blocks(doubled: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The two parity blocks of the S_j (x) S_j, as (members, positions, values).
+# characters of the symmetries {1, flip, swap, flip swap} of D, one row
+# each: (+, +), (+, -), (-, +), (-, -) on (flip, swap)
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
 
-    members are the flat bipartite indices i * d + j with i + j of one
-    parity; values[:, n] holds the entries of S_x (x) S_x, S_y (x) S_y and
-    S_z (x) S_z (all real) at the flat position positions[n] of the block.
+
+@dataclass(frozen=True, eq=False)
+class _SymmetryBlocks:
+    """The symmetry-adapted basis of D and the block entries it gives.
+
+    Blocks are in the fixed order: by size, then even parity first, then
+    by character in the order of _CHARACTERS.  stacks lists (count, size)
+    for each run of equal sizes.  Basis vectors are numbered block after
+    block, each block's in order of their orbit's least flat index.  Entry
+    n of the basis table says that basis vector columns[n] has amplitude
+    coefficients[n] at the flat bipartite index members[n] = i * d + j.
+    The blocks, laid end to end row-major, hold sigma @ weights at the
+    flat positions positions and zero elsewhere.
+    """
+
+    sizes: np.ndarray
+    stacks: tuple[tuple[int, int], ...]
+    members: np.ndarray
+    columns: np.ndarray
+    coefficients: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
+    """The nonempty blocks of D by parity of i + j and character of flip and swap.
+
     Built from the nonzero pattern of the tridiagonal one-party matrices,
     so no (2s+1)^2-square matrix is formed.
     """
     d = doubled + 1
+    n = d * d
+    i, j = np.divmod(np.arange(n), d)
+    # images of each flat index under 1, flip, swap and flip swap
+    images = np.stack([i * d + j, n - 1 - (i * d + j), j * d + i, n - 1 - (j * d + i)])
+    fixed = images == images[0]
+    orbit = images.min(axis=0)
+    # a character has a basis vector on an orbit when it is 1 on the stabilizer
+    spans = np.all((_CHARACTERS[:, :, None] == 1) | ~fixed, axis=1)
+    # the basis vector of character chi on an orbit has amplitude
+    # chi(g) / sqrt(|orbit|) at g(least index); each g is its own inverse
+    to_least = np.argmax(images == orbit, axis=0)
+    coefficient = _CHARACTERS[:, to_least] / np.sqrt(4.0 / fixed.sum(axis=0))
+    character, member = np.nonzero(spans)
+    label = 4 * ((i + j) % 2)[member] + character
+    # one basis vector per (label, orbit), counted at the orbit's least index
+    least = member == orbit[member]
+    counts = np.bincount(label[least], minlength=8)
+    # the fixed order of the blocks: by size, then by label
+    by_size = np.argsort(counts, kind="stable")
+    key = np.argsort(by_size)[label] * n + orbit[member]
+    column = np.searchsorted(np.sort(key[least]), key)
+    sizes = counts[by_size][counts[by_size] > 0]
+
     sx, sy, sz = _spin_matrices(doubled)
     real = np.stack([sx.real, (1j * sy).real, sz.real])  # i S_y is real
     rows, cols = np.nonzero(np.any(real != 0, axis=0))
@@ -151,17 +208,35 @@ def _parity_blocks(doubled: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarr
     source = (rows[a] * d + rows[b])[keep]
     target = (cols[a] * d + cols[b])[keep]
     values = values[:, keep]
-    flat = np.arange(d * d)
-    blocks = []
-    for parity in (0, 1):
-        members = flat[(flat // d + flat % d) % 2 == parity]
-        local = np.empty(d * d, dtype=np.int64)
-        local[members] = np.arange(len(members))
-        # D couples only indices of one parity, so both ends share it
-        mine = (source // d + source % d) % 2 == parity
-        positions = local[source[mine]] * len(members) + local[target[mine]]
-        blocks.append((members, positions, np.ascontiguousarray(values[:, mine])))
-    return tuple(blocks)
+
+    # entry (source, target) of D, seen from the basis vectors of one character
+    column_of = np.full((4, n), -1)
+    column_of[character, member] = column
+    seen, entry = np.nonzero(spans[:, source] & spans[:, target])
+    row, col = column_of[seen, source[entry]], column_of[seen, target[entry]]
+    # D keeps parity, so both columns lie in one block
+    block_of = np.repeat(np.arange(len(sizes)), sizes)[row]
+    first = (np.cumsum(sizes) - sizes)[block_of]
+    corner = (np.cumsum(sizes**2) - sizes**2)[block_of]
+    flat = corner + (row - first) * sizes[block_of] + (col - first)
+    contribution = values[:, entry] * (
+        coefficient[seen, source[entry]] * coefficient[seen, target[entry]]
+    )
+    # sum the contributions to each position
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    weights = np.add.reduceat(contribution[:, order], starts, axis=1)
+    nonzero = np.any(weights != 0, axis=0)
+    positions = flat[order][starts][nonzero]
+    return _SymmetryBlocks(
+        sizes=sizes,
+        stacks=tuple((len(list(run)), size) for size, run in groupby(sizes.tolist())),
+        members=member,
+        columns=column,
+        coefficients=coefficient[character, member],
+        positions=positions,
+        weights=weights[:, nonzero],
+    )
 
 
 def spin_operators(s: SpinValue) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
@@ -210,32 +285,63 @@ def bell_action(C, s: SpinValue, state: StateVector) -> np.ndarray:
     return sum(ops[k] @ psi @ partners[k].T for k in range(3)).reshape(-1)
 
 
-def _diagonal_ground_state(sigma: np.ndarray, doubled: int) -> tuple[float, np.ndarray]:
-    """Least eigenvalue of D = sum_j sigma_j S_j (x) S_j and a real eigenvector.
+def _diagonal_blocks(sigma: np.ndarray, doubled: int) -> list[np.ndarray]:
+    """The symmetry blocks of D = sum_j sigma_j S_j (x) S_j, as (count, size, size) stacks.
 
-    Both parity blocks are solved; on a tie the even block's vector is kept.
+    The stacks hold the blocks in the fixed order, equal sizes together,
+    so each stack goes to numpy's solvers in one call.
     """
+    table = _symmetry_blocks(doubled)
+    squares = [count * size * size for count, size in table.stacks]
+    flat = np.bincount(table.positions, weights=sigma @ table.weights, minlength=sum(squares))
+    parts = np.split(flat, np.cumsum(squares)[:-1])
+    return [part.reshape(count, size, size) for part, (count, size) in zip(parts, table.stacks)]
+
+
+def _diagonal_ground_state(stacks: list[np.ndarray], doubled: int) -> tuple[float, np.ndarray]:
+    """Least eigenvalue of D and a real eigenvector, as a (2s+1, 2s+1) amplitude matrix.
+
+    Every block's eigenvalues are found; only the block holding the least
+    one (the first in the fixed order on an exact tie) is solved for its
+    vector, which is mapped back through the basis table.
+    """
+    table = _symmetry_blocks(doubled)
+    minima = np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks])
+    k = int(np.argmin(minima))
+    eigenvalues, eigenvectors = np.linalg.eigh([block for stack in stacks for block in stack][k])
+    start = int(table.sizes[:k].sum())
+    vec = np.zeros(int(table.sizes.sum()))
+    vec[start : start + len(eigenvectors)] = eigenvectors[:, 0]
     d = doubled + 1
-    best = None
-    for members, positions, values in _parity_blocks(doubled):
-        n = len(members)
-        block = np.zeros(n * n)
-        block[positions] = sigma @ values
-        eigenvalues, eigenvectors = np.linalg.eigh(block.reshape(n, n))
-        if best is None or eigenvalues[0] < best[0]:
-            best = (float(eigenvalues[0]), members, eigenvectors[:, 0].copy())
-    lam, members, vec = best
-    phi = np.zeros(d * d)
-    phi[members] = vec
-    return lam, phi.reshape(d, d)
+    amplitudes = table.coefficients * vec[table.columns]
+    return float(eigenvalues[0]), np.bincount(table.members, amplitudes, d * d).reshape(d, d)
+
+
+def _certify_least(stacks: list[np.ndarray], floor: float) -> None:
+    """Raise EigensolverFailure unless every eigenvalue of D exceeds floor.
+
+    block - floor * I has a Cholesky factor exactly when it is positive
+    definite, that is when all of the block's eigenvalues exceed floor.
+    """
+    for stack in stacks:
+        try:
+            # floor on the diagonal only: an infinite floor times I would put nan off it
+            np.linalg.cholesky(stack - np.diag(np.full(stack.shape[-1], floor)))
+        except np.linalg.LinAlgError:
+            raise EigensolverFailure(
+                f"an eigenvalue lies at or below {floor:.17g}, under the one found"
+            ) from None
 
 
 def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     """Minimal eigenvalue of the Bell operator and an optimal eigenvector.
 
-    Solved on the diagonal form D of the module docstring.  The eigenpair
-    is checked against the full C: the residual of the returned state must
-    stay within EIG_RESIDUAL_TOL * max(1, ||C||_F s(s+1)).
+    Solved on the diagonal form D of the module docstring.  With
+    tol = EIG_RESIDUAL_TOL * max(1, ||C||_F s(s+1)), two checks certify
+    the value: the residual of the returned state against the full C stays
+    within tol, so an eigenvalue lies within tol of it, and every block of
+    D shifted by value - tol has a Cholesky factor, so none lies below
+    value - tol.
     """
     cm = as_coefficient_matrix(C)
     _check_spin(s)
@@ -245,14 +351,17 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
         if np.linalg.det(factor) < 0:
             factor[:, 2] = -factor[:, 2]
             sigma[2] = -sigma[2]
-    lam, phi = _diagonal_ground_state(sigma, s.doubled)
+    stacks = _diagonal_blocks(sigma, s.doubled)
+    lam, phi = _diagonal_ground_state(stacks, s.doubled)
     u_p = rotation_unitary(s, euler_from_rotation(p.T))
     u_q = rotation_unitary(s, euler_from_rotation(q.T))
     state = StateVector(u_p @ phi @ u_q.T)
     residual = float(np.linalg.norm(bell_action(cm, s, state) - lam * state.amplitudes))
     scale = max(1.0, float(np.linalg.norm(cm.entries)) * s.value * (s.value + 1.0))
-    if residual > EIG_RESIDUAL_TOL * scale:
+    tol = EIG_RESIDUAL_TOL * scale
+    if residual > tol:
         raise EigensolverFailure(f"eigenpair residual {residual:.3e} exceeds tolerance")
+    _certify_least(stacks, lam - tol)
     return lam, state
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,9 +176,13 @@ class TestBoundsCommand:
         # finite entries whose pair table overflows to inf - inf = nan
         path = tmp_path / "huge.txt"
         path.write_text("1e308 " * 9)
-        code = main(["bounds", "--matrix", str(path), "--spin-doubled", "2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to exit 4
+            code = main(["bounds", "--matrix", str(path), "--spin-doubled", "2"])
         assert code == 4
-        assert capsys.readouterr().err.startswith("numerical failure")
+        assert capsys.readouterr().err == (
+            "numerical failure: pair table overflows to non-finite values\n"
+        )
 
 
 class TestTable1Command:

@@ -5,6 +5,7 @@ import pytest
 
 from spinhv import (
     DimensionMismatch,
+    EigensolverFailure,
     EulerAngles,
     HermitianOperator,
     NotARotation,
@@ -27,7 +28,12 @@ from spinhv import (
     spin_operators,
 )
 from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRICES, ROTATION_Z45
-from spinhv.quantum import EIG_RESIDUAL_TOL
+from spinhv.quantum import (
+    EIG_RESIDUAL_TOL,
+    _certify_least,
+    _diagonal_blocks,
+    _symmetry_blocks,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,6 +179,56 @@ class TestDiagonalReduction:
     def test_bell_action_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             bell_action(IDENTITY, SpinValue(2), singlet_state(SpinValue(1)))
+
+
+class TestSymmetryBlocks:
+    """The split of D by parity, flip and swap, checked against the dense D."""
+
+    @pytest.mark.parametrize("doubled", range(1, 41))
+    def test_sizes_cover_the_space(self, doubled):
+        sizes = _symmetry_blocks(doubled).sizes
+        assert sizes.sum() == (doubled + 1) ** 2
+        assert len(sizes) <= 8
+
+    def test_largest_block_at_top_spin(self):
+        assert _symmetry_blocks(40).sizes.max() == 231
+
+    @pytest.mark.parametrize("doubled", range(1, 9))
+    def test_blocks_reproduce_dense_operator(self, doubled):
+        table = _symmetry_blocks(doubled)
+        n = (doubled + 1) ** 2
+        basis = np.zeros((n, n))
+        basis[table.members, table.columns] = table.coefficients
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-15)
+        sigma = np.array([1.3, -0.4, -2.1])
+        blocks = [block for stack in _diagonal_blocks(sigma, doubled) for block in stack]
+        assert [len(block) for block in blocks] == table.sizes.tolist()
+        diagonal = np.zeros((n, n))
+        start = 0
+        for block in blocks:
+            diagonal[start : start + len(block), start : start + len(block)] = block
+            start += len(block)
+        dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries
+        assert np.max(np.abs(dense.imag)) == 0.0
+        np.testing.assert_allclose(basis @ diagonal @ basis.T, dense.real, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("doubled", [25, 40])
+    def test_matches_dense_eigenvalue_above_20(self, doubled):
+        s = SpinValue(doubled)
+        for C in (EXAMPLE3, np.random.default_rng(25).normal(size=(3, 3))):
+            reference = np.linalg.eigvalsh(bell_operator(C, s).entries)[0]
+            value = quantum_bound(C, s)[0]
+            assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
+
+    def test_leastness_rejects_a_floor_above_the_minimum(self):
+        # for a diagonal C the Bell operator is D itself
+        sigma = np.array([1.3, -0.4, -2.1])
+        value = quantum_bound(np.diag(sigma), SpinValue(6))[0]
+        stacks = _diagonal_blocks(sigma, 6)
+        tol = EIG_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(sigma)) * spin_squared(6))
+        _certify_least(stacks, value - tol)
+        with pytest.raises(EigensolverFailure):
+            _certify_least(stacks, value + 1.0)
 
 
 class TestSinglet:
