@@ -16,7 +16,8 @@ earlier minimizing pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class CoefficientMatrix:
     """Real 3x3 matrix of inequality coefficients, rows/columns in x, y, z order."""
 
     entries: np.ndarray
-    is_rotation: bool = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=float)
@@ -47,11 +47,16 @@ class CoefficientMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+    @cached_property
+    def is_rotation(self) -> bool:
+        """Orthogonal with determinant +1, both within ROTATION_TOL."""
+        m = self.entries
         # a finite matrix may still overflow here; it is then no rotation
         with np.errstate(over="ignore", invalid="ignore"):
             orthogonal = float(np.max(np.abs(m.T @ m - np.eye(3)))) <= ROTATION_TOL
             unit_det = abs(float(np.linalg.det(m)) - 1.0) <= ROTATION_TOL
-        object.__setattr__(self, "is_rotation", orthogonal and unit_det)
+        return orthogonal and unit_det
 
 
 def as_coefficient_matrix(C) -> CoefficientMatrix:

@@ -22,7 +22,7 @@ from .assignments import (
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from .bounds import WITNESS_TOL, bounds_report, classical_bound
+from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report, classical_bound
 from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45, named_matrix
 from .number_theory import SpinValue, magnitude_feasible
@@ -130,6 +130,15 @@ def _violates(beta_q: float, beta: float) -> bool:
     return bool(beta_q < beta - WITNESS_TOL * max(1.0, abs(beta)))
 
 
+def _quarter(key: int, s: SpinValue) -> str:
+    """str(Fraction(key, 4)) for a key that is a multiple of 4 when 2s is even and odd when odd.
+
+    Both the class keys and 2s(2s + 2) are: a sum of three squared doubled
+    projections is 0 mod 4 for even 2s and 3 mod 8 for odd 2s.
+    """
+    return f"{key}/4" if s.doubled % 2 else str(key // 4)
+
+
 def cmd_feasibility(args) -> tuple[dict, int]:
     s = _spin(args.spin_doubled, 1, MAX_FORMULA_DOUBLED, "feasibility")
     formula = magnitude_feasible(s)
@@ -138,7 +147,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
 
     results = {
         "spin": str(s),
-        "conserving_squared_sum": str(Fraction(conserving_target_doubled(s), 4)),
+        "conserving_squared_sum": _quarter(conserving_target_doubled(s), s),
         "feasible_by_formula": formula,
         "feasible_by_enumeration": oracle,
         "agreement": agree,
@@ -147,7 +156,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
         classes = squared_magnitude_classes(s)
         results["constrained_assignments"] = classes.get(conserving_target_doubled(s), 0)
         results["squared_magnitude_classes"] = [
-            {"squared_sum": str(Fraction(key, 4)), "count": classes[key]}
+            {"squared_sum": _quarter(key, s), "count": classes[key]}
             for key in sorted(classes, reverse=True)
         ]
     report = _report(
@@ -164,8 +173,9 @@ def cmd_bounds(args) -> tuple[dict, int]:
     s = _spin(args.spin_doubled, 1, MAX_SPIN_DOUBLED, "bounds")
     inputs["spin_doubled"] = s.doubled
 
-    rep = bounds_report(matrix, s)
-    beta_q, state = quantum_bound(matrix, s)
+    cm = CoefficientMatrix(matrix)
+    rep = bounds_report(cm, s)
+    beta_q, state = quantum_bound(cm, s)
     schmidt = schmidt_coefficients(state, s)
 
     results = {

@@ -324,13 +324,29 @@ def _certify_least(stacks: list[np.ndarray], floor: float) -> None:
     definite, that is when all of the block's eigenvalues exceed floor.
     """
     for stack in stacks:
+        # floor on the diagonal only: an infinite floor times I would put nan off it
+        with np.errstate(over="ignore"):
+            shifted = stack - np.diag(np.full(stack.shape[-1], floor))
         try:
-            # floor on the diagonal only: an infinite floor times I would put nan off it
-            np.linalg.cholesky(stack - np.diag(np.full(stack.shape[-1], floor)))
+            # cholesky factors a diagonal the shift overflowed to inf without complaint
+            if not np.all(np.isfinite(shifted)):
+                raise np.linalg.LinAlgError
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise EigensolverFailure(
                 f"an eigenvalue lies at or below {floor:.17g}, under the one found"
             ) from None
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x as max|x| times the norm of x / max|x|, so no square overflows.
+
+    Infinite only when the norm itself exceeds the float range.
+    """
+    peak = float(np.max(np.abs(x)))
+    if not 0.0 < peak < math.inf:
+        return peak
+    return peak * float(np.linalg.norm(x / peak))
 
 
 def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
@@ -341,10 +357,15 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     the value: the residual of the returned state against the full C stays
     within tol, so an eigenvalue lies within tol of it, and every block of
     D shifted by value - tol has a Cholesky factor, so none lies below
-    value - tol.
+    value - tol.  Both norms are taken overflow-safe, and a tol that
+    is not finite, which would pass any residual, raises
+    EigensolverFailure before the solve.
     """
     cm = as_coefficient_matrix(C)
     _check_spin(s)
+    tol = EIG_RESIDUAL_TOL * max(1.0, _norm(cm.entries) * s.value * (s.value + 1.0))
+    if not math.isfinite(tol):
+        raise EigensolverFailure("eigenpair tolerance overflows for this matrix and spin")
     p, sigma, qt = np.linalg.svd(cm.entries)
     q = qt.T
     for factor in (p, q):
@@ -356,10 +377,10 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     u_p = rotation_unitary(s, euler_from_rotation(p.T))
     u_q = rotation_unitary(s, euler_from_rotation(q.T))
     state = StateVector(u_p @ phi @ u_q.T)
-    residual = float(np.linalg.norm(bell_action(cm, s, state) - lam * state.amplitudes))
-    scale = max(1.0, float(np.linalg.norm(cm.entries)) * s.value * (s.value + 1.0))
-    tol = EIG_RESIDUAL_TOL * scale
-    if residual > tol:
+    # an overflowing action gives an infinite or nan residual, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _norm(bell_action(cm, s, state) - lam * state.amplitudes)
+    if not residual <= tol:
         raise EigensolverFailure(f"eigenpair residual {residual:.3e} exceeds tolerance")
     _certify_least(stacks, lam - tol)
     return lam, state

@@ -12,6 +12,7 @@ from spinhv import (
     squared_magnitude_classes,
 )
 from spinhv.assignments import conserving_target_doubled, extreme_assignments
+from spinhv.number_theory import magnitude_feasible
 
 
 def row_set(rows):
@@ -21,6 +22,12 @@ def row_set(rows):
 
 def is_lexicographic(rows):
     return rows.tolist() == sorted(rows.tolist())
+
+
+def grid_filter(s):
+    """The conserving rows of the full grid, the oracle for the isqrt walk."""
+    full = enumerate_unconstrained(s)
+    return full[np.square(full).sum(axis=1) == conserving_target_doubled(s)]
 
 
 def signed_permutations(doubled_triple):
@@ -97,6 +104,18 @@ class TestConstrained:
             got = enumerate_constrained(s)
             assert np.all(np.square(got).sum(axis=1) == conserving_target_doubled(s))
 
+    @pytest.mark.parametrize("doubled", range(1, 81))
+    def test_matches_grid_filter(self, doubled):
+        s = SpinValue(doubled)
+        got, expected = enumerate_constrained(s), grid_filter(s)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)  # rows and their order
+
+    def test_nonempty_exactly_when_feasible(self):
+        for doubled in range(1, 401):
+            s = SpinValue(doubled)
+            assert (len(enumerate_constrained(s)) > 0) == magnitude_feasible(s), doubled
+
     def test_closure_under_signed_permutations(self):
         for doubled in (1, 2, 4):
             s = SpinValue(doubled)
@@ -163,3 +182,12 @@ class TestSquaredMagnitudeClasses:
         for doubled in (1, 2, 3, 4):
             classes = squared_magnitude_classes(SpinValue(doubled))
             assert sum(classes.values()) == (doubled + 1) ** 3
+
+    @pytest.mark.parametrize("doubled", range(1, 61))
+    def test_matches_unique_over_grid(self, doubled):
+        s = SpinValue(doubled)
+        keys, counts = np.unique(
+            np.square(enumerate_unconstrained(s)).sum(axis=1), return_counts=True
+        )
+        classes = squared_magnitude_classes(s)
+        assert list(classes.items()) == list(zip(keys.tolist(), counts.tolist()))

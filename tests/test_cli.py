@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from spinhv import (
     expectation,
     quantum_bound,
     spin_operators,
+    squared_magnitude_classes,
 )
+from spinhv.assignments import conserving_target_doubled
 from spinhv.bounds import WITNESS_TOL
 from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, main
 from spinhv.matrices import EXAMPLE1
@@ -60,6 +63,19 @@ class TestFeasibilityCommand:
             _, report = run_cli(capsys, "feasibility", "--spin-doubled", str(doubled))
             expected = len(enumerate_constrained(SpinValue(doubled)))
             assert report["results"]["constrained_assignments"] == expected, doubled
+
+    def test_class_strings_are_exact_quarters(self, capsys):
+        for doubled in range(1, 41):
+            s = SpinValue(doubled)
+            _, report = run_cli(capsys, "feasibility", "--spin-doubled", str(doubled))
+            results = report["results"]
+            target = conserving_target_doubled(s)
+            assert results["conserving_squared_sum"] == str(Fraction(target, 4)), doubled
+            classes = squared_magnitude_classes(s)
+            assert results["squared_magnitude_classes"] == [
+                {"squared_sum": str(Fraction(key, 4)), "count": classes[key]}
+                for key in sorted(classes, reverse=True)
+            ], doubled
 
     def test_large_spin_skips_oracle(self, capsys):
         code, report = run_cli(capsys, "feasibility", "--spin-doubled", "1999")
@@ -182,6 +198,33 @@ class TestBoundsCommand:
         assert code == 4
         assert capsys.readouterr().err == (
             "numerical failure: pair table overflows to non-finite values\n"
+        )
+
+    def test_huge_matrix_answers_with_finite_tolerance(self, capsys, tmp_path):
+        # ||C||_F would overflow if its squares were summed directly
+        s = SpinValue(7)
+        unit = np.random.default_rng(3).normal(size=(3, 3))
+        path = tmp_path / "huge.txt"
+        np.savetxt(path, unit * 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_cli(capsys, "bounds", "--matrix", str(path), "--spin-doubled", "7")
+            reference = np.linalg.eigvalsh(bell_operator(unit * 1e300, s).entries)[0]
+        assert code == 0
+        scale = 1e300 * float(np.linalg.norm(unit)) * s.value * (s.value + 1.0)
+        assert np.isfinite(EIG_RESIDUAL_TOL * scale)
+        assert abs(report["results"]["beta_quantum"] - reference) <= EIG_RESIDUAL_TOL * scale
+
+    def test_overflowing_tolerance_exits_4(self, capsys, tmp_path):
+        # the classical scan stays finite, but ||C||_F s(s+1) does not
+        path = tmp_path / "huge.txt"
+        np.savetxt(path, np.diag([1.7e308] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bounds", "--matrix", str(path), "--spin-doubled", "1"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: eigenpair tolerance overflows for this matrix and spin\n"
         )
 
 

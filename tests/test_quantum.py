@@ -32,6 +32,7 @@ from spinhv.quantum import (
     EIG_RESIDUAL_TOL,
     _certify_least,
     _diagonal_blocks,
+    _norm,
     _symmetry_blocks,
 )
 
@@ -181,6 +182,16 @@ class TestDiagonalReduction:
             bell_action(IDENTITY, SpinValue(2), singlet_state(SpinValue(1)))
 
 
+class TestOverflowSafeNorm:
+    def test_matches_numpy_and_stays_finite(self):
+        rng = np.random.default_rng(5)
+        for x in (rng.normal(size=9), rng.normal(size=16) + 1j * rng.normal(size=16)):
+            assert math.isclose(_norm(x), np.linalg.norm(x), rel_tol=1e-15)
+            # np.linalg.norm(x * 1e300) overflows to inf
+            assert math.isclose(_norm(x * 1e300), np.linalg.norm(x) * 1e300, rel_tol=1e-15)
+        assert _norm(np.zeros(4)) == 0.0
+
+
 class TestSymmetryBlocks:
     """The split of D by parity, flip and swap, checked against the dense D."""
 
@@ -229,6 +240,12 @@ class TestSymmetryBlocks:
         _certify_least(stacks, value - tol)
         with pytest.raises(EigensolverFailure):
             _certify_least(stacks, value + 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_leastness_rejects_an_overflowed_shift(self):
+        # 1e308 + 1e308 is inf, and cholesky would factor that without complaint
+        with pytest.raises(EigensolverFailure):
+            _certify_least([np.array([[[1e308]]])], -1e308)
 
 
 class TestSinglet:
