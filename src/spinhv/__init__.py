@@ -55,6 +55,7 @@ from .quantum import (
     expectation,
     projection_probability,
     quantum_bound,
+    quantum_value,
     rotated_singlet,
     rotation_unitary,
     schmidt_coefficients,
@@ -102,6 +103,7 @@ __all__ = [
     "membership",
     "projection_probability",
     "quantum_bound",
+    "quantum_value",
     "rotated_singlet",
     "rotation_unitary",
     "schmidt_coefficients",

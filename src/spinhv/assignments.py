@@ -9,6 +9,7 @@ the brute-force oracle.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -71,18 +72,25 @@ def enumerate_constrained(s: SpinValue) -> np.ndarray:
 def extreme_assignments(s: SpinValue, constrained: bool) -> np.ndarray:
     """One party's extreme assignments as doubled rows, ascending lexicographic.
 
-    Constrained: every conserving triple (they all lie on one sphere),
-    raising InfeasibleSpin when none exist.  Unconstrained: the 8 spectrum
-    corners {-s, s}^3, which suffice for bilinear minima and correlation
-    hulls because a . C . b and a (x) b are affine in each component of
-    a and of b.
+    Constrained: every conserving triple (they all lie on one sphere), a
+    read-only array built once per spin, raising InfeasibleSpin when none
+    exist.  Unconstrained: the 8 spectrum corners {-s, s}^3, which suffice
+    for bilinear minima and correlation hulls because a . C . b and
+    a (x) b are affine in each component of a and of b.
     """
     _require_positive(s)
     if not constrained:
         return s.doubled * _CORNER_SIGNS
-    rows = enumerate_constrained(s)
+    rows = _conserving_rows(s.doubled)
     if not len(rows):
         raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _conserving_rows(doubled: int) -> np.ndarray:
+    rows = enumerate_constrained(SpinValue(doubled))
+    rows.setflags(write=False)
     return rows
 
 

@@ -27,13 +27,7 @@ from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNum
 from .matrices import NAMED_MATRICES, ROTATION_Z45, named_matrix
 from .number_theory import SpinValue, magnitude_feasible
 from .polytope import MEMBERSHIP_TOL, CorrelationPoint, membership
-from .quantum import (
-    MAX_SPIN_DOUBLED,
-    bell_action,
-    quantum_bound,
-    rotated_singlet,
-    schmidt_coefficients,
-)
+from .quantum import MAX_SPIN_DOUBLED, bell_action, quantum_value, rotated_singlet
 
 MAX_FORMULA_DOUBLED = 2000
 MAX_ORACLE_DOUBLED = 200
@@ -175,8 +169,7 @@ def cmd_bounds(args) -> tuple[dict, int]:
 
     cm = CoefficientMatrix(matrix)
     rep = bounds_report(cm, s)
-    beta_q, state = quantum_bound(cm, s)
-    schmidt = schmidt_coefficients(state, s)
+    beta_q, schmidt = quantum_value(cm, s)
 
     results = {
         "beta_constrained": rep.beta_constrained,
@@ -331,8 +324,8 @@ def main(argv=None) -> int:
     except (BoundCheckFailure, EigensolverFailure, LpNumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    # one write: json.dump with indent writes every chunk separately
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return code
 
 

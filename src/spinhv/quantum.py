@@ -18,14 +18,23 @@ keep that parity: the flip (i, j) -> (d-1-i, d-1-j), up to sign a
 rotation by pi about x on both parties, and the swap (i, j) -> (j, i).
 So D splits into 8 real blocks, one per parity and character of
 {1, flip, swap, flip swap}; the largest has 66 rows at 2s = 20 and 231
-at 2s = 40.  The least eigenvalue of every block is found, the
-eigenvector of the lowest block only, and it is mapped back and rotated
-back.  The eigenpair residual against B shows the value is near an
-eigenvalue; a Cholesky factor of every block shifted just below it shows
-no eigenvalue lies lower.  bell_operator keeps the dense B as the
-reference oracle.
-"""
+at 2s = 40.  The least eigenvalue of every block is found, and the
+eigenvector of the lowest block only, mapped back to a real amplitude
+matrix phi.
 
+The value is certified in D's frame.  The computed P, Q and sigma give B
+only up to the SVD gap g = s^2 (sum |C - P diag(sigma) Q^T| plus a term
+for the orthogonality defect of P and Q), since ||S_k (x) S_l|| = s^2;
+so B's eigenvalues lie within g of D's.  The residual of phi against D
+plus g within the tolerance shows an eigenvalue of B near the value; a
+Cholesky factor of every block of D shifted by value - tol + g shows no
+eigenvalue of B lies below value - tol.  quantum_value stops there and
+reports the Schmidt coefficients of phi, which are those of B's ground
+state by local-unitary invariance.  quantum_bound also rotates phi back
+to B's frame and checks its residual against the full C, a cross-check
+of the rotation code.  bell_operator keeps the dense B as the reference
+oracle.
+"""
 from __future__ import annotations
 
 import math
@@ -134,6 +143,15 @@ def _spin_matrices(doubled: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _real_spin_matrices(doubled: int) -> np.ndarray:
+    """Read-only real (3, 2s+1, 2s+1) stack of S_x, i S_y, S_z."""
+    sx, sy, sz = _spin_matrices(doubled)
+    real = np.stack([sx.real, (1j * sy).real, sz.real])
+    real.setflags(write=False)
+    return real
+
+
+@lru_cache(maxsize=None)
 def _sy_eigenbasis(doubled: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_spin_matrices(doubled)[1])
 
@@ -197,8 +215,7 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     column = np.searchsorted(np.sort(key[least]), key)
     sizes = counts[by_size][counts[by_size] > 0]
 
-    sx, sy, sz = _spin_matrices(doubled)
-    real = np.stack([sx.real, (1j * sy).real, sz.real])  # i S_y is real
+    real = _real_spin_matrices(doubled)
     rows, cols = np.nonzero(np.any(real != 0, axis=0))
     # every pair (a, b) of nonzero one-party entries
     a, b = np.divmod(np.arange(len(rows) ** 2), len(rows))
@@ -349,20 +366,49 @@ def _norm(x: np.ndarray) -> float:
     return peak * float(np.linalg.norm(x / peak))
 
 
-def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
-    """Minimal eigenvalue of the Bell operator and an optimal eigenvector.
+def _diagonal_action(sigma: np.ndarray, doubled: int, phi: np.ndarray) -> np.ndarray:
+    """D phi for a real amplitude matrix phi, as sum_j +-sigma_j R_j phi R_j^T.
 
-    Solved on the diagonal form D of the module docstring.  With
-    tol = EIG_RESIDUAL_TOL * max(1, ||C||_F s(s+1)), two checks certify
-    the value: the residual of the returned state against the full C stays
-    within tol, so an eigenvalue lies within tol of it, and every block of
-    D shifted by value - tol has a Cholesky factor, so none lies below
-    value - tol.  Both norms are taken overflow-safe, and a tol that
+    R_j are S_x, i S_y and S_z, all real; the S_y term takes the minus sign.
+    """
+    real = _real_spin_matrices(doubled)
+    signed = sigma * np.array([1.0, -1.0, 1.0])
+    return sum(signed[j] * (real[j] @ phi @ real[j].T) for j in range(3))
+
+
+def _svd_gap(c: np.ndarray, p: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> float:
+    """A bound on sum_kl |c_kl - c0_kl| for C0 = P0 diag(sigma) Q0^T, P0 and Q0 exact rotations.
+
+    It bounds the nuclear norm of C - C0, so s^2 times it bounds the
+    norm of the difference of their Bell operators.  P0 is the orthogonal
+    polar factor of P, proper since det P > 0, and within
+    delta_P = ||P^T P - I||_F of P in the spectral norm; likewise Q0.  The
+    rank-3 rest P diag(sigma) Q^T - C0 has spectral norm at most
+    max|sigma| (delta_P + delta_Q + delta_P delta_Q), so nuclear norm at
+    most three times that.  Taken on C / max|c_kl| and scaled back, so
+    3 max|sigma| stays finite near the float limit.
+    """
+    peak = float(np.max(np.abs(c)))
+    if peak == 0.0:
+        return 0.0
+    eye = np.eye(3)
+    delta_p, delta_q = _norm(p.T @ p - eye), _norm(q.T @ q - eye)
+    unit = sigma / peak
+    defect = 3.0 * float(np.max(np.abs(unit))) * (delta_p + delta_q + delta_p * delta_q)
+    return peak * (float(np.sum(np.abs(c / peak - (p * unit) @ q.T))) + defect)
+
+
+def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The least eigenvalue of B certified in D's frame, with phi, P, Q and the tolerance.
+
+    With tol = EIG_RESIDUAL_TOL * max(1, ||C||_F s(s+1)) and g the SVD gap
+    times s^2, the residual of phi against D plus g stays within tol, so
+    an eigenvalue of B lies within tol of the value, and every block of D
+    shifted by value - tol + g has a Cholesky factor, so none of B lies
+    below value - tol.  The norms are taken overflow-safe, and a tol that
     is not finite, which would pass any residual, raises
     EigensolverFailure before the solve.
     """
-    cm = as_coefficient_matrix(C)
-    _check_spin(s)
     tol = EIG_RESIDUAL_TOL * max(1.0, _norm(cm.entries) * s.value * (s.value + 1.0))
     if not math.isfinite(tol):
         raise EigensolverFailure("eigenpair tolerance overflows for this matrix and spin")
@@ -374,6 +420,42 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
             sigma[2] = -sigma[2]
     stacks = _diagonal_blocks(sigma, s.doubled)
     lam, phi = _diagonal_ground_state(stacks, s.doubled)
+    # an overflow gives an infinite or nan residual or gap, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _norm(_diagonal_action(sigma, s.doubled, phi) - lam * phi)
+        gap = s.value**2 * _svd_gap(cm.entries, p, sigma, q)
+    if not residual + gap <= tol:
+        raise EigensolverFailure(
+            f"eigenpair residual {residual:.3e} plus SVD gap {gap:.3e} exceeds tolerance"
+        )
+    _certify_least(stacks, lam - tol + gap)
+    return lam, phi, p, q, tol
+
+
+def quantum_value(C, s: SpinValue) -> tuple[float, np.ndarray]:
+    """Minimal eigenvalue of the Bell operator and the Schmidt coefficients of an optimal state.
+
+    Both come from D's frame with its certificate (module docstring): the
+    coefficients are the singular values of D's ground-state amplitude
+    matrix, descending, which a local unitary does not change.  No state
+    is rotated back.
+    """
+    cm = as_coefficient_matrix(C)
+    _check_spin(s)
+    lam, phi, *_ = _diagonal_solution(cm, s)
+    return lam, _singular_values(phi)
+
+
+def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
+    """Minimal eigenvalue of the Bell operator and an optimal eigenvector.
+
+    The value and its certificate are quantum_value's; the ground state of
+    D is rotated back by U_P (x) U_Q, and its residual against the full C
+    must stay within the same tol, a check of the rotation code.
+    """
+    cm = as_coefficient_matrix(C)
+    _check_spin(s)
+    lam, phi, p, q, tol = _diagonal_solution(cm, s)
     u_p = rotation_unitary(s, euler_from_rotation(p.T))
     u_q = rotation_unitary(s, euler_from_rotation(q.T))
     state = StateVector(u_p @ phi @ u_q.T)
@@ -382,7 +464,6 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
         residual = _norm(bell_action(cm, s, state) - lam * state.amplitudes)
     if not residual <= tol:
         raise EigensolverFailure(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    _certify_least(stacks, lam - tol)
     return lam, state
 
 
@@ -468,7 +549,11 @@ def schmidt_coefficients(state: StateVector, s: SpinValue) -> np.ndarray:
         raise DimensionMismatch(
             f"state dim {state.dim} is not bipartite for spin {s} (expected {d * d})"
         )
-    coeffs = np.linalg.svd(state.amplitudes.reshape(d, d), compute_uv=False)
+    return _singular_values(state.amplitudes.reshape(d, d))
+
+
+def _singular_values(amplitudes: np.ndarray) -> np.ndarray:
+    coeffs = np.linalg.svd(amplitudes, compute_uv=False)
     if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-10:
         raise EigensolverFailure("Schmidt coefficients do not square-sum to one")
     return coeffs

@@ -135,6 +135,36 @@ class TestExtremeAssignments:
         with pytest.raises(InfeasibleSpin):
             extreme_assignments(SpinValue(3), True)
 
+    def test_conserving_rows_are_cached_read_only(self):
+        for doubled in range(1, 41):
+            s = SpinValue(doubled)
+            if not magnitude_feasible(s):
+                continue
+            rows = extreme_assignments(s, True)
+            assert rows is extreme_assignments(s, True)
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, enumerate_constrained(s))
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0
+
+    def test_witnesses_and_vertex_order_from_fresh_rows(self):
+        from spinhv import classical_bound
+        from spinhv.bounds import CoefficientMatrix, _minimize
+        from spinhv.polytope import vertex_array_quadrupled
+
+        rng = np.random.default_rng(8)
+        for doubled in (1, 2, 4, 8, 20):
+            s = SpinValue(doubled)
+            assert magnitude_feasible(s)
+            fresh = enumerate_constrained(s)
+            for C in (rng.normal(size=(3, 3)), rng.integers(-2, 3, size=(3, 3)).astype(float)):
+                value, witness = classical_bound(C, s, constrained=True)
+                reference = _minimize(CoefficientMatrix(C), fresh)
+                assert value == reference[0]
+                assert np.array_equal(witness, reference[1])
+            products = np.einsum("ik,jl->ijkl", fresh, fresh).reshape(-1, 9)
+            assert np.array_equal(vertex_array_quadrupled(s, True), np.unique(products, axis=0))
+
     def test_unconstrained_corners(self):
         for doubled in (1, 2, 3, 7):
             got = extreme_assignments(SpinValue(doubled), False)

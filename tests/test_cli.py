@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import warnings
@@ -13,13 +14,14 @@ from spinhv import (
     enumerate_constrained,
     expectation,
     quantum_bound,
+    schmidt_coefficients,
     spin_operators,
     squared_magnitude_classes,
 )
 from spinhv.assignments import conserving_target_doubled
 from spinhv.bounds import WITNESS_TOL
 from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, main
-from spinhv.matrices import EXAMPLE1
+from spinhv.matrices import EXAMPLE1, EXAMPLE3
 from spinhv.polytope import MEMBERSHIP_TOL
 from spinhv.quantum import EIG_RESIDUAL_TOL
 
@@ -330,6 +332,94 @@ class TestMembershipCommand:
         path.write_text("0 0 0 0 0 0 0 0 0\n")
         code, _ = run_cli(capsys, "membership", "--point", str(path), "--spin-doubled", "41", *constrained)
         assert code == 2
+
+
+class TestBoundsCertificate:
+    """The bounds command takes beta_q and the Schmidt coefficients from D's frame."""
+
+    def test_never_rotates_back(self, capsys, monkeypatch):
+        import spinhv.cli as cli_module
+        import spinhv.quantum as quantum_module
+
+        s = SpinValue(4)
+        value, state = quantum_bound(EXAMPLE3, s)
+        schmidt = schmidt_coefficients(state, s)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the bounds path")
+
+        for name in ("euler_from_rotation", "rotation_unitary", "bell_action", "schmidt_coefficients"):
+            monkeypatch.setattr(quantum_module, name, forbidden)
+        monkeypatch.setattr(cli_module, "bell_action", forbidden)
+        code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", "4")
+        assert code == 0
+        assert report["results"]["beta_quantum"] == value
+        assert np.max(np.abs(np.array(report["results"]["optimal_state_schmidt"]) - schmidt)) <= 1e-12
+
+    @pytest.mark.parametrize("size", [1e-7, 1e-3])
+    def test_perturbed_svd_factor_exits_4(self, capsys, monkeypatch, size):
+        # a perturbed P leaves sigma, and so D's eigenpair, untouched: only
+        # the SVD gap sees it
+        svd = np.linalg.svd
+
+        def perturbed(a, *args, **kwargs):
+            result = svd(a, *args, **kwargs)
+            if np.shape(a) != (3, 3) or not kwargs.get("compute_uv", True):
+                return result
+            p, sigma, qt = result
+            return p + size * np.arange(9.0).reshape(3, 3) / 8.0, sigma, qt
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        assert main(["bounds", "--matrix", "example1", "--spin-doubled", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: eigenpair residual ")
+        assert "SVD gap" in err
+
+    def test_slightly_perturbed_svd_factor_still_answers(self, capsys, monkeypatch):
+        svd = np.linalg.svd
+        reference = run_cli(capsys, "bounds", "--matrix", "example1", "--spin-doubled", "2")[1]
+
+        def perturbed(a, *args, **kwargs):
+            result = svd(a, *args, **kwargs)
+            if np.shape(a) != (3, 3) or not kwargs.get("compute_uv", True):
+                return result
+            p, sigma, qt = result
+            return p + 1e-14, sigma, qt
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        code, report = run_cli(capsys, "bounds", "--matrix", "example1", "--spin-doubled", "2")
+        assert code == 0
+        assert report["results"]["beta_quantum"] == reference["results"]["beta_quantum"]
+
+
+class TestReportEncoding:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["feasibility", "--spin-doubled", "40"],
+            ["bounds", "--matrix", "example3", "--spin-doubled", "4"],
+            ["table1", "--max-spin-doubled", "8"],
+        ],
+        ids=["feasibility", "bounds", "table1"],
+    )
+    def test_stdout_is_the_json_dump_text(self, capsys, monkeypatch, argv):
+        import spinhv.cli as cli_module
+
+        reports = []
+        build = cli_module._report
+
+        def keep(*args):
+            reports.append(build(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli_module, "_report", keep)
+        assert main(argv) == 0
+        expected = io.StringIO()
+        json.dump(reports[0], expected, indent=2)
+        print(file=expected)
+        # a flag, not an assert on the texts: pytest's diff of long texts takes minutes
+        identical = capsys.readouterr().out == expected.getvalue()
+        assert identical, "stdout differs from the json.dump text"
 
 
 class TestReportShape:

@@ -21,6 +21,7 @@ from spinhv import (
     expectation,
     projection_probability,
     quantum_bound,
+    quantum_value,
     rotated_singlet,
     rotation_unitary,
     schmidt_coefficients,
@@ -33,6 +34,7 @@ from spinhv.quantum import (
     _certify_least,
     _diagonal_blocks,
     _norm,
+    _svd_gap,
     _symmetry_blocks,
 )
 
@@ -180,6 +182,69 @@ class TestDiagonalReduction:
     def test_bell_action_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             bell_action(IDENTITY, SpinValue(2), singlet_state(SpinValue(1)))
+
+
+def _value_matrices(doubled: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(100 + doubled)
+    matrices = [np.asarray(m, dtype=float) for m in NAMED_MATRICES.values()]
+    matrices += [rng.normal(size=(3, 3)) for _ in range(4)]
+    return matrices + [rng.integers(-3, 4, size=(3, 3)).astype(float) for _ in range(2)]
+
+
+class TestQuantumValue:
+    """quantum_value, certified in D's frame, against quantum_bound and the dense operator."""
+
+    @pytest.mark.parametrize("doubled", [*range(1, 21), 25, 40])
+    def test_agrees_with_quantum_bound(self, doubled):
+        s = SpinValue(doubled)
+        for C in _value_matrices(doubled):
+            value, schmidt = quantum_value(C, s)
+            reference, state = quantum_bound(C, s)
+            assert value == reference
+            assert np.max(np.abs(schmidt - schmidt_coefficients(state, s))) <= 1e-12
+
+    @pytest.mark.parametrize("doubled", range(1, 11))
+    def test_matches_dense_eigvalsh(self, doubled):
+        s = SpinValue(doubled)
+        for C in _oracle_matrices():
+            reference = np.linalg.eigvalsh(bell_operator(C, s).entries)[0]
+            for value in (quantum_value(C, s)[0], quantum_bound(C, s)[0]):
+                assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
+
+    @pytest.mark.filterwarnings("error")
+    def test_answers_at_the_float_limit(self):
+        # the SVD gap's 3 max|sigma| overflows unless taken on C / max|c_kl|
+        value, schmidt = quantum_value(1e308 * IDENTITY, SpinValue(1))
+        assert value == quantum_bound(1e308 * IDENTITY, SpinValue(1))[0]
+        assert value == pytest.approx(-0.75e308, rel=1e-12)
+        assert np.sum(schmidt**2) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSvdGap:
+    def test_exact_factors_leave_a_rounding_gap(self):
+        rng = np.random.default_rng(9)
+        for C in [rng.normal(size=(3, 3)) for _ in range(10)] + [np.zeros((3, 3))]:
+            p, sigma, qt = np.linalg.svd(C)
+            assert _svd_gap(C, p, sigma, qt.T) <= 1e-14 * max(1.0, float(np.abs(C).sum()))
+
+    def test_bounds_the_distance_to_rotation_factors(self, random_rotation):
+        # C is exactly P diag(sigma) Q^T with P = (1 + 1e-6) R not orthogonal, so
+        # the entry term reads rounding only; R diag(sigma) Q^T, from exact
+        # rotations, lies at nuclear distance 1e-6 sum|sigma| from C
+        rng = np.random.default_rng(10)
+        r, q = random_rotation(rng), random_rotation(rng)
+        sigma = np.array([3.0, 2.0, -0.5])
+        p = (1.0 + 1e-6) * r
+        C = (p * sigma) @ q.T
+        assert float(np.sum(np.abs(C - (p * sigma) @ q.T))) <= 1e-14
+        assert _svd_gap(C, p, sigma, q) >= 1e-6 * float(np.abs(sigma).sum())
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_near_the_float_limit(self):
+        for C in (1e308 * IDENTITY, np.random.default_rng(0).normal(size=(3, 3)) * 10**307.75):
+            p, sigma, qt = np.linalg.svd(C)
+            gap = _svd_gap(C, p, sigma, qt.T)
+            assert 0.0 <= gap <= 1e-14 * float(np.max(np.abs(C))) * 9
 
 
 class TestOverflowSafeNorm:
