@@ -22,9 +22,9 @@ from .assignments import (
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report, classical_bound
+from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report
 from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNumericalFailure
-from .matrices import NAMED_MATRICES, ROTATION_Z45, named_matrix
+from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
 from .polytope import MEMBERSHIP_TOL, CorrelationPoint, membership
 from .quantum import MAX_SPIN_DOUBLED, bell_action, quantum_value, rotated_singlet
@@ -74,30 +74,28 @@ def _parse_numbers(text: str, path: str) -> list[float]:
     return values
 
 
+def _read_nine(source: str, what: str) -> np.ndarray:
+    """The 3x3 matrix of the 9 numbers in a text file, or CliInputError."""
+    try:
+        text = Path(source).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliInputError(f"{source}: cannot read {what} file: {exc}") from None
+    values = _parse_numbers(text, source)
+    if len(values) != 9:
+        raise CliInputError(f"{source}: expected 9 {what} entries, found {len(values)}")
+    return np.array(values).reshape(3, 3)
+
+
 def _load_matrix(source: str) -> tuple[np.ndarray, dict]:
     if source in NAMED_MATRICES:
-        matrix = named_matrix(source)
-        return matrix, {"matrix": source, "entries": _listify(matrix)}
-    path = Path(source)
-    if not path.is_file():
+        matrix = NAMED_MATRICES[source]
+    elif Path(source).is_file():
+        matrix = _read_nine(source, "matrix")
+    else:
         raise CliInputError(
             f"matrix {source!r} is neither a built-in name ({', '.join(sorted(NAMED_MATRICES))}) nor a file"
         )
-    values = _parse_numbers(path.read_text(), source)
-    if len(values) != 9:
-        raise CliInputError(f"{source}: expected 9 matrix entries, found {len(values)}")
-    matrix = np.array(values).reshape(3, 3)
     return matrix, {"matrix": source, "entries": _listify(matrix)}
-
-
-def _load_point(source: str) -> np.ndarray:
-    path = Path(source)
-    if not path.is_file():
-        raise CliInputError(f"point file not found: {source}")
-    values = _parse_numbers(path.read_text(), source)
-    if len(values) != 9:
-        raise CliInputError(f"{source}: expected 9 correlator entries, found {len(values)}")
-    return np.array(values).reshape(3, 3)
 
 
 def _listify(array: np.ndarray) -> list:
@@ -195,12 +193,9 @@ def cmd_table1(args) -> tuple[dict, int]:
     mismatch = False
     for doubled in range(1, max_s.doubled + 1):
         s = SpinValue(doubled)
-        try:
-            beta, _ = classical_bound(ROTATION_Z45, s, constrained=True)
-        except InfeasibleSpin:
-            beta = None
-        beta_bar, _ = classical_bound(ROTATION_Z45, s, constrained=False)
-        quantum_value = -conserving_target_doubled(s) / 4.0
+        rep = bounds_report(ROTATION_Z45, s)
+        beta, beta_bar = rep.beta_constrained, rep.beta_unconstrained
+        minus_s_s_plus_1 = -conserving_target_doubled(s) / 4.0
         singlet = rotated_singlet(ROTATION_Z45, s)
         measured = float(np.vdot(singlet.amplitudes, bell_action(ROTATION_Z45, s, singlet)).real)
         row = {
@@ -208,7 +203,7 @@ def cmd_table1(args) -> tuple[dict, int]:
             "spin_doubled": doubled,
             "beta_constrained": beta,
             "beta_unconstrained": beta_bar,
-            "minus_s_s_plus_1": quantum_value,
+            "minus_s_s_plus_1": minus_s_s_plus_1,
             "rotated_singlet_expectation": measured,
         }
         if doubled in TABLE1_TARGETS:
@@ -238,7 +233,7 @@ def cmd_table1(args) -> tuple[dict, int]:
 
 
 def cmd_membership(args) -> tuple[dict, int]:
-    point_entries = _load_point(args.point)
+    point_entries = _read_nine(args.point, "correlator")
     s = _spin(args.spin_doubled, 1, MAX_SPIN_DOUBLED, "membership")
 
     try:

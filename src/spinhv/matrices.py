@@ -27,11 +27,3 @@ NAMED_MATRICES = {
     "identity": IDENTITY,
 }
 
-
-def named_matrix(name: str) -> np.ndarray:
-    try:
-        return NAMED_MATRICES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown matrix name {name!r}; choices: {', '.join(sorted(NAMED_MATRICES))}"
-        ) from None

@@ -18,9 +18,17 @@ keep that parity: the flip (i, j) -> (d-1-i, d-1-j), up to sign a
 rotation by pi about x on both parties, and the swap (i, j) -> (j, i).
 So D splits into 8 real blocks, one per parity and character of
 {1, flip, swap, flip swap}; the largest has 66 rows at 2s = 20 and 231
-at 2s = 40.  The least eigenvalue of every block is found, and the
-eigenvector of the lowest block only, mapped back to a real amplitude
-matrix phi.
+at 2s = 40.  A block's basis vector is v_r = sum_g chi(g) e_{g r} /
+sqrt(4 |stab r|) for the least index r of an orbit on whose stabiliser
+the character chi is 1.  Since D commutes with the group, the projector
+identity gives each block entry from one row of D,
+
+    <v_r'| D |v_r> = sum_b chi(g_b) sqrt(|stab r| / |stab r'|) D[r', b],
+
+over the nonzero entries b = g_b r of row r' in the orbit of r, so only
+the rows of least indices are read.  The least eigenvalue of every block
+is found, and the eigenvector of the lowest block only, mapped back to a
+real amplitude matrix phi.
 
 The value is certified in D's frame.  The computed P, Q and sigma give B
 only up to the SVD gap g = s^2 (sum |C - P diag(sigma) Q^T| plus a term
@@ -166,19 +174,17 @@ class _SymmetryBlocks:
     """The symmetry-adapted basis of D and the block entries it gives.
 
     Blocks are in the fixed order: by size, then even parity first, then
-    by character in the order of _CHARACTERS.  stacks lists (count, size)
-    for each run of equal sizes.  Basis vectors are numbered block after
-    block, each block's in order of their orbit's least flat index.  Entry
-    n of the basis table says that basis vector columns[n] has amplitude
-    coefficients[n] at the flat bipartite index members[n] = i * d + j.
-    The blocks, laid end to end row-major, hold sigma @ weights at the
-    flat positions positions and zero elsewhere.
+    by character in the order of _CHARACTERS; stacks lists (count, size)
+    for each run of equal sizes.  Row k of members and coefficients is
+    basis vector k, v_r for least indices r block after block and rising
+    within a block, with amplitude coefficients[k, g] at the flat index
+    members[k, g] = g r; repeated images add up.  The blocks, laid end to
+    end row-major, hold sigma @ weights at positions and zero elsewhere.
     """
 
     sizes: np.ndarray
     stacks: tuple[tuple[int, int], ...]
     members: np.ndarray
-    columns: np.ndarray
     coefficients: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
@@ -186,73 +192,71 @@ class _SymmetryBlocks:
 
 @lru_cache(maxsize=None)
 def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
-    """The nonempty blocks of D by parity of i + j and character of flip and swap.
+    """The nonempty blocks of D by parity of i + j and character chi of flip and swap.
 
-    Built from the nonzero pattern of the tridiagonal one-party matrices,
-    so no (2s+1)^2-square matrix is formed.
+    The projector identity: for least indices r', r of orbits of
+    G = {1, flip, swap, flip swap} with chi 1 on their stabilisers,
+    v_r = sum_g chi(g) e_{g r} / sqrt(4 |stab r|) is a unit vector, and as
+    D commutes with G,
+        <v_r'| D |v_r> = sum_b chi(g_b) sqrt(|stab r| / |stab r'|) D[r', b]
+    over the nonzero entries b = g_b r of D's row r' in r's orbit.  Only
+    the rows of least indices are read, from the tridiagonal one-party
+    matrices; no (2s+1)^2-square matrix is formed.
     """
     d = doubled + 1
     n = d * d
     i, j = np.divmod(np.arange(n), d)
-    # images of each flat index under 1, flip, swap and flip swap
+    # images of each flat index under 1, flip, swap and flip swap; each g is its own inverse
     images = np.stack([i * d + j, n - 1 - (i * d + j), j * d + i, n - 1 - (j * d + i)])
     fixed = images == images[0]
+    stabiliser = fixed.sum(axis=0)
     orbit = images.min(axis=0)
-    # a character has a basis vector on an orbit when it is 1 on the stabilizer
-    spans = np.all((_CHARACTERS[:, :, None] == 1) | ~fixed, axis=1)
-    # the basis vector of character chi on an orbit has amplitude
-    # chi(g) / sqrt(|orbit|) at g(least index); each g is its own inverse
     to_least = np.argmax(images == orbit, axis=0)
-    coefficient = _CHARACTERS[:, to_least] / np.sqrt(4.0 / fixed.sum(axis=0))
-    character, member = np.nonzero(spans)
-    label = 4 * ((i + j) % 2)[member] + character
-    # one basis vector per (label, orbit), counted at the orbit's least index
-    least = member == orbit[member]
-    counts = np.bincount(label[least], minlength=8)
-    # the fixed order of the blocks: by size, then by label
-    by_size = np.argsort(counts, kind="stable")
-    key = np.argsort(by_size)[label] * n + orbit[member]
-    column = np.searchsorted(np.sort(key[least]), key)
-    sizes = counts[by_size][counts[by_size] > 0]
+    least = np.flatnonzero(orbit == np.arange(n))
 
-    real = _real_spin_matrices(doubled)
-    rows, cols = np.nonzero(np.any(real != 0, axis=0))
-    # every pair (a, b) of nonzero one-party entries
-    a, b = np.divmod(np.arange(len(rows) ** 2), len(rows))
-    values = real[:, rows[a], cols[a]] * real[:, rows[b], cols[b]]
+    # row (i, j) of D is nonzero at most at (i + di, j + dj), |di|, |dj| <= 1:
+    # the one-party matrices, padded by one, give those 9 entries of each least row
+    real = np.pad(_real_spin_matrices(doubled), ((0, 0), (1, 1), (1, 1)))
+    si, sj = i[least, None] + 1, j[least, None] + 1
+    ti, tj = si + np.repeat([-1, 0, 1], 3), sj + np.tile([-1, 0, 1], 3)
+    values = real[:, si, ti] * real[:, sj, tj]
     values[1] = -values[1]  # S_y (x) S_y = -(i S_y) (x) (i S_y)
-    keep = np.any(values != 0, axis=0)
-    source = (rows[a] * d + rows[b])[keep]
-    target = (cols[a] * d + cols[b])[keep]
-    values = values[:, keep]
+    read = np.any(values != 0, axis=0)
+    source, target = np.repeat(least, 9)[read.ravel()], ((ti - 1) * d + tj - 1)[read]
+    g, target = to_least[target], orbit[target]
+    values = values[:, read] * np.sqrt(stabiliser[target] / stabiliser[source])
+    # the entries of row r' in the orbit of r add up to one block entry
+    pair, where = np.unique(source * n + target, return_inverse=True)
+    pair_row, pair_col = np.divmod(pair, n)
+    where = (where + len(pair) * np.arange(3)[:, None]).ravel()  # one bin per sigma_j and pair
 
-    # entry (source, target) of D, seen from the basis vectors of one character
-    column_of = np.full((4, n), -1)
-    column_of[character, member] = column
-    seen, entry = np.nonzero(spans[:, source] & spans[:, target])
-    row, col = column_of[seen, source[entry]], column_of[seen, target[entry]]
-    # D keeps parity, so both columns lie in one block
-    block_of = np.repeat(np.arange(len(sizes)), sizes)[row]
-    first = (np.cumsum(sizes) - sizes)[block_of]
-    corner = (np.cumsum(sizes**2) - sizes**2)[block_of]
-    flat = corner + (row - first) * sizes[block_of] + (col - first)
-    contribution = values[:, entry] * (
-        coefficient[seen, source[entry]] * coefficient[seen, target[entry]]
-    )
-    # sum the contributions to each position
-    order = np.argsort(flat, kind="stable")
-    starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
-    weights = np.add.reduceat(contribution[:, order], starts, axis=1)
-    nonzero = np.any(weights != 0, axis=0)
-    positions = flat[order][starts][nonzero]
+    # chi has a basis vector on the orbit of r when it is 1 on stab r, so sums to |stab r| there
+    parity = (i + j)[least] % 2
+    bases = [least[(parity == k // 4) & (_CHARACTERS[k % 4] @ fixed[:, least] > 0)] for k in range(8)]
+    # the fixed order of the blocks: by size, then by label
+    order = [k for k in sorted(range(8), key=lambda k: len(bases[k])) if len(bases[k])]
+    sizes = np.array([len(bases[k]) for k in order])
+    start = 0
+    positions, weights = [], []
+    for k, size in zip(order, sizes.tolist()):
+        column = np.full(n, -1)
+        column[bases[k]] = np.arange(size)
+        # D keeps parity, so a row of the block meets only this block's columns
+        row, col = column[pair_row], column[pair_col]
+        inside = (row >= 0) & (col >= 0)
+        summed = np.bincount(where, (values * _CHARACTERS[k % 4][g]).ravel(), 3 * len(pair))
+        positions.append((start + row * size + col)[inside])
+        weights.append(summed.reshape(3, -1)[:, inside])
+        start += size * size
+    basis = np.concatenate([bases[k] for k in order])
+    characters = np.repeat(_CHARACTERS[[k % 4 for k in order]], sizes, axis=0)
     return _SymmetryBlocks(
         sizes=sizes,
         stacks=tuple((len(list(run)), size) for size, run in groupby(sizes.tolist())),
-        members=member,
-        columns=column,
-        coefficients=coefficient[character, member],
-        positions=positions,
-        weights=weights[:, nonzero],
+        members=images[:, basis].T,
+        coefficients=characters / np.sqrt(4.0 * stabiliser[basis])[:, None],
+        positions=np.concatenate(positions),
+        weights=np.concatenate(weights, axis=1),
     )
 
 
@@ -326,12 +330,11 @@ def _diagonal_ground_state(stacks: list[np.ndarray], doubled: int) -> tuple[floa
     minima = np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks])
     k = int(np.argmin(minima))
     eigenvalues, eigenvectors = np.linalg.eigh([block for stack in stacks for block in stack][k])
-    start = int(table.sizes[:k].sum())
-    vec = np.zeros(int(table.sizes.sum()))
-    vec[start : start + len(eigenvectors)] = eigenvectors[:, 0]
+    block = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
+    amplitudes = table.coefficients[block] * eigenvectors[:, :1]
     d = doubled + 1
-    amplitudes = table.coefficients * vec[table.columns]
-    return float(eigenvalues[0]), np.bincount(table.members, amplitudes, d * d).reshape(d, d)
+    phi = np.bincount(table.members[block].ravel(), amplitudes.ravel(), d * d)
+    return float(eigenvalues[0]), phi.reshape(d, d)
 
 
 def _certify_least(stacks: list[np.ndarray], floor: float) -> None:
@@ -576,10 +579,9 @@ def _check_in_spectrum(spin_doubled: int, value: SpinValue) -> None:
 
 
 def projection_probability(state: StateVector, axis: str, value: SpinValue) -> float:
-    """Probability of measuring the given projection along x, y or z.
+    """Probability |<v|state>|^2 of measuring the given projection along x, y or z.
 
-    The axis eigenvector's phase is fixed by making its first nonzero
-    amplitude real positive; the probability itself is phase independent.
+    v is the axis eigenvector of that projection; its phase does not matter.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
@@ -590,7 +592,4 @@ def projection_probability(state: StateVector, axis: str, value: SpinValue) -> f
     k = int(np.argmin(np.abs(eigenvalues - value.value)))
     if abs(eigenvalues[k] - value.value) > 1e-8:
         raise ValueNotInSpectrum(f"no eigenvalue near {value} on axis {axis}")
-    vec = eigenvectors[:, k]
-    first = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
-    vec = vec * (first.conjugate() / abs(first))
-    return float(abs(np.vdot(vec, state.amplitudes)) ** 2)
+    return float(abs(np.vdot(eigenvectors[:, k], state.amplitudes)) ** 2)

@@ -163,10 +163,12 @@ class TestBoundsCommand:
         "command", [("bounds", "--matrix"), ("membership", "--point")], ids=["matrix", "point"]
     )
     def test_overflowing_entry_is_input_error(self, capsys, tmp_path, command):
-        path = tmp_path / "big.txt"
-        path.write_text("1e400 0 0\n0 0 0\n0 0 0\n")
         subcommand, option = command
-        assert run_cli(capsys, subcommand, option, str(path), "--spin-doubled", "2")[0] == 2
+        # an entry past the float range, and a file that is not UTF-8 text
+        for content in (b"1e400 0 0\n0 0 0\n0 0 0\n", b"\xff\xfe\x00bad"):
+            path = tmp_path / "big.txt"
+            path.write_bytes(content)
+            assert run_cli(capsys, subcommand, option, str(path), "--spin-doubled", "2")[0] == 2
 
     def test_spin_out_of_quantum_range(self, capsys):
         assert run_cli(capsys, "bounds", "--matrix", "identity", "--spin-doubled", "41")[0] == 2
@@ -268,6 +270,14 @@ class TestTable1Command:
         code, report = run_cli(capsys, "table1", "--max-spin-doubled", "2")
         assert code == 3
         assert report["results"]["all_targets_passed"] is False
+
+    def test_failed_witness_check_exits_4(self, capsys, monkeypatch):
+        # table1 takes its classical bounds through the same checks as bounds
+        import spinhv.bounds as bounds_module
+
+        monkeypatch.setattr(bounds_module, "_witness_reproduces", lambda *args: False)
+        assert main(["table1", "--max-spin-doubled", "2"]) == 4
+        assert "witness does not reproduce" in capsys.readouterr().err
 
 
 class TestMembershipCommand:

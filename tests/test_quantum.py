@@ -31,6 +31,7 @@ from spinhv import (
 from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRICES, ROTATION_Z45
 from spinhv.quantum import (
     EIG_RESIDUAL_TOL,
+    _CHARACTERS,
     _certify_least,
     _diagonal_blocks,
     _norm,
@@ -269,12 +270,14 @@ class TestSymmetryBlocks:
     def test_largest_block_at_top_spin(self):
         assert _symmetry_blocks(40).sizes.max() == 231
 
-    @pytest.mark.parametrize("doubled", range(1, 9))
+    @pytest.mark.parametrize("doubled", [*range(1, 13), 20, 21])
     def test_blocks_reproduce_dense_operator(self, doubled):
         table = _symmetry_blocks(doubled)
         n = (doubled + 1) ** 2
+        assert table.members.shape == table.coefficients.shape == (n, 4)
         basis = np.zeros((n, n))
-        basis[table.members, table.columns] = table.coefficients
+        # repeated images of a basis vector add up
+        np.add.at(basis, (table.members, np.arange(n)[:, None]), table.coefficients)
         np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-15)
         sigma = np.array([1.3, -0.4, -2.1])
         blocks = [block for stack in _diagonal_blocks(sigma, doubled) for block in stack]
@@ -287,6 +290,29 @@ class TestSymmetryBlocks:
         dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries
         assert np.max(np.abs(dense.imag)) == 0.0
         np.testing.assert_allclose(basis @ diagonal @ basis.T, dense.real, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("doubled", [1, 2, 7, 8, 20, 21, 40])
+    def test_fixed_block_order(self, doubled):
+        table = _symmetry_blocks(doubled)
+        d = doubled + 1
+        # basis vector k is v_r for r = members[k, 0], the least index of its orbit,
+        # and its coefficient signs are the character of its block
+        least = table.members[:, 0]
+        assert np.array_equal(least, table.members.min(axis=1))
+        characters = np.sign(table.coefficients).astype(int)
+        chi = np.argmax(np.all(characters[:, None, :] == _CHARACTERS, axis=2), axis=1)
+        assert np.array_equal(_CHARACTERS[chi], characters)
+        labels = 4 * (np.add(*np.divmod(least, d)) % 2) + chi
+        starts = np.cumsum(table.sizes) - table.sizes
+        assert np.all(np.diff(table.sizes) >= 0)
+        for k, (start, size) in enumerate(zip(starts, table.sizes)):
+            block = slice(start, start + size)
+            assert np.all(labels[block] == labels[start])
+            assert np.all(np.diff(least[block]) > 0)
+            if k and table.sizes[k - 1] == size:
+                assert labels[starts[k - 1]] < labels[start]
+        assert np.all(np.any(table.weights != 0, axis=0))
+        assert np.all(np.diff(table.positions) > 0)
 
     @pytest.mark.parametrize("doubled", [25, 40])
     def test_matches_dense_eigenvalue_above_20(self, doubled):
