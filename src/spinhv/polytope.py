@@ -145,13 +145,18 @@ def inclusion_check(s: SpinValue) -> InclusionReport:
     """Compare the constrained polytope with the unconstrained one it sits in.
 
     Every conserving triple lies in the spectrum box, so inclusion holds by
-    construction.  Strictness is established by the first of the 32 corner
-    products that fails constrained membership; when none fails, the two
-    polytopes are equal, as for s = 1/2.
+    construction.  A corner product has all nine entries +-s^2, and a
+    convex combination of conserving products a (x) b reaches that only if
+    every vertex in it has |a_k| = |b_l| = s for all k, l, so 3 s^2 =
+    s(s+1), which holds only at s = 1/2, where every corner conserves.  So
+    the polytopes are equal exactly at 2s = 1; at every other feasible spin
+    the first corner product is the witness, certified outside by one
+    membership run (which raises InfeasibleSpin for an infeasible spin).
     """
-    for row in vertex_array_quadrupled(s, False):
-        candidate = CorrelationPoint(row.reshape(3, 3) / 4.0)
-        result = membership(candidate, s, constrained=True)
-        if not result.inside:
-            return InclusionReport(strict=True, witness=candidate, witness_certificate=result)
-    return InclusionReport(strict=False)
+    if s.doubled == 1:
+        return InclusionReport(strict=False)
+    witness = CorrelationPoint(vertex_array_quadrupled(s, False)[0].reshape(3, 3) / 4.0)
+    result = membership(witness, s, constrained=True)
+    if result.inside:
+        raise LpNumericalFailure("a corner product was found inside the conserving polytope")
+    return InclusionReport(strict=True, witness=witness, witness_certificate=result)

@@ -10,8 +10,10 @@ P^T and Q^T
     B = (U_P (x) U_Q) D (U_P (x) U_Q)^+,   D = sum_j sigma_j S_j (x) S_j.
 
 B and D share their spectrum, and their ground states differ by a local
-unitary, which keeps the Schmidt coefficients.  D is real in the S_z
-basis, since S_y (x) S_y = -(i S_y) (x) (i S_y) and i S_y is real.  It
+unitary, which keeps the Schmidt coefficients.  Every operator here
+comes from one real table R = (S_x, i S_y, S_z) in the S_z basis and one
+phase constant, S_j = phase_j R_j with phase = (1, -i, 1), so D =
+sum_j sigma_j phase_j^2 R_j (x) R_j is real.  It
 changes m_A + m_B by 0 or +-2 only, so it keeps the parity of i + j over
 basis indices (i, j), and it commutes with two index permutations that
 keep that parity: the flip (i, j) -> (d-1-i, d-1-j), up to sign a
@@ -40,8 +42,9 @@ eigenvalue of B lies below value - tol.  quantum_value stops there and
 reports the Schmidt coefficients of phi, which are those of B's ground
 state by local-unitary invariance.  quantum_bound also rotates phi back
 to B's frame and checks its residual against the full C, a cross-check
-of the rotation code.  bell_operator keeps the dense B as the reference
-oracle.
+of the rotation code.  Both residuals come from one real kernel,
+Psi -> sum_kl a_kl R_k Psi R_l^T.  bell_operator keeps the dense B as the
+reference oracle.
 """
 from __future__ import annotations
 
@@ -76,7 +79,7 @@ _AXES = ("x", "y", "z")
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Square complex matrix validated to be Hermitian."""
+    """Square complex matrix, Hermitian within HERMITICITY_TOL * max(1, max|entries|)."""
 
     entries: np.ndarray
 
@@ -84,7 +87,7 @@ class HermitianOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL:
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
             raise ValueError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", m)
 
@@ -139,29 +142,25 @@ def _check_spin(s: SpinValue) -> None:
         )
 
 
+# S_j = _PHASES[j] R_j over the real table R of _spin_matrices; S_j (x) S_j = _SIGNS[j] R_j (x) R_j
+_PHASES = np.array([1.0, -1.0j, 1.0])
+_SIGNS = (_PHASES * _PHASES).real
+
+
 @lru_cache(maxsize=None)
 def _spin_matrices(doubled: int) -> np.ndarray:
-    """Read-only complex (3, 2s+1, 2s+1) stack of S_x, S_y, S_z, built once per spin."""
+    """Read-only real (3, 2s+1, 2s+1) table S_x, i S_y = (S_+ - S_-) / 2, S_z, cached per spin."""
     sval = doubled / 2.0
     m = np.arange(doubled, -doubled - 1, -2) / 2.0
     raising = np.diag(np.sqrt(sval * (sval + 1.0) - m[1:] * (m[1:] + 1.0)), k=1)
-    ops = np.stack([(raising + raising.T) / 2.0, (raising - raising.T) / 2.0j, np.diag(m)])
-    ops.setflags(write=False)
-    return ops
-
-
-@lru_cache(maxsize=None)
-def _real_spin_matrices(doubled: int) -> np.ndarray:
-    """Read-only real (3, 2s+1, 2s+1) stack of S_x, i S_y, S_z."""
-    sx, sy, sz = _spin_matrices(doubled)
-    real = np.stack([sx.real, (1j * sy).real, sz.real])
-    real.setflags(write=False)
-    return real
+    table = np.stack([(raising + raising.T) / 2.0, (raising - raising.T) / 2.0, np.diag(m)])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
 def _sy_eigenbasis(doubled: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(_spin_matrices(doubled)[1])
+    return np.linalg.eigh(_PHASES[1] * _spin_matrices(doubled)[1])
 
 
 # characters of the symmetries {1, flip, swap, flip swap} of D, one row
@@ -216,11 +215,10 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
 
     # row (i, j) of D is nonzero at most at (i + di, j + dj), |di|, |dj| <= 1:
     # the one-party matrices, padded by one, give those 9 entries of each least row
-    real = np.pad(_real_spin_matrices(doubled), ((0, 0), (1, 1), (1, 1)))
+    real = np.pad(_spin_matrices(doubled), ((0, 0), (1, 1), (1, 1)))
     si, sj = i[least, None] + 1, j[least, None] + 1
     ti, tj = si + np.repeat([-1, 0, 1], 3), sj + np.tile([-1, 0, 1], 3)
-    values = real[:, si, ti] * real[:, sj, tj]
-    values[1] = -values[1]  # S_y (x) S_y = -(i S_y) (x) (i S_y)
+    values = _SIGNS[:, None, None] * real[:, si, ti] * real[:, sj, tj]
     read = np.any(values != 0, axis=0)
     source, target = np.repeat(least, 9)[read.ravel()], ((ti - 1) * d + tj - 1)[read]
     g, target = to_least[target], orbit[target]
@@ -267,15 +265,15 @@ def spin_operators(s: SpinValue) -> tuple[HermitianOperator, HermitianOperator, 
     matrix elements sqrt(s(s+1) - m(m+1)).
     """
     _check_spin(s)
-    sx, sy, sz = _spin_matrices(s.doubled)
+    sx, sy, sz = _PHASES[:, None, None] * _spin_matrices(s.doubled)
     return (HermitianOperator(sx), HermitianOperator(sy), HermitianOperator(sz))
 
 
 def bell_operator(C, s: SpinValue) -> HermitianOperator:
     """sum_kl c_kl S_k (x) S_l on the bipartite space of two spin-s parties.
 
-    Dense (2s+1)^2-square reference for tests; quantum_bound and the CLI
-    use bell_action instead.
+    Dense (2s+1)^2-square reference for tests.  bounds solves in D's
+    frame; quantum_bound and table1 apply B through bell_action.
     """
     cm = as_coefficient_matrix(C)
     ops = [op.entries for op in spin_operators(s)]
@@ -293,17 +291,23 @@ def bell_action(C, s: SpinValue, state: StateVector) -> np.ndarray:
     """The amplitudes of (sum_kl c_kl S_k (x) S_l) |state>, without forming the operator.
 
     On the amplitude matrix Psi (party A as rows) S_k (x) S_l acts as
-    S_k Psi S_l^T, so the action is sum_k S_k Psi (sum_l c_kl S_l)^T.
+    S_k Psi S_l^T = phase_k phase_l R_k Psi R_l^T.
     """
     cm = as_coefficient_matrix(C)
     _check_spin(s)
     d = s.doubled + 1
     if state.dim != d * d:
         raise DimensionMismatch(f"state dim {state.dim} != bipartite dim {d * d} for spin {s}")
-    ops = _spin_matrices(s.doubled)
-    partners = (cm.entries @ ops.reshape(3, d * d)).reshape(3, d, d)
-    psi = state.amplitudes.reshape(d, d)
-    return sum(ops[k] @ psi @ partners[k].T for k in range(3)).reshape(-1)
+    a = cm.entries * np.outer(_PHASES, _PHASES)
+    return _action(a, s.doubled, state.amplitudes.reshape(d, d)).reshape(-1)
+
+
+def _action(a: np.ndarray, doubled: int, psi: np.ndarray) -> np.ndarray:
+    """sum_kl a_kl R_k Psi R_l^T over the real table, as sum_k R_k Psi (sum_l a_kl R_l)^T."""
+    table = _spin_matrices(doubled)
+    d = doubled + 1
+    partners = (a @ table.reshape(3, d * d)).reshape(3, d, d)
+    return sum(table[k] @ psi @ partners[k].T for k in range(3))
 
 
 def _diagonal_blocks(sigma: np.ndarray, doubled: int) -> list[np.ndarray]:
@@ -369,16 +373,6 @@ def _norm(x: np.ndarray) -> float:
     return peak * float(np.linalg.norm(x / peak))
 
 
-def _diagonal_action(sigma: np.ndarray, doubled: int, phi: np.ndarray) -> np.ndarray:
-    """D phi for a real amplitude matrix phi, as sum_j +-sigma_j R_j phi R_j^T.
-
-    R_j are S_x, i S_y and S_z, all real; the S_y term takes the minus sign.
-    """
-    real = _real_spin_matrices(doubled)
-    signed = sigma * np.array([1.0, -1.0, 1.0])
-    return sum(signed[j] * (real[j] @ phi @ real[j].T) for j in range(3))
-
-
 def _svd_gap(c: np.ndarray, p: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> float:
     """A bound on sum_kl |c_kl - c0_kl| for C0 = P0 diag(sigma) Q0^T, P0 and Q0 exact rotations.
 
@@ -425,7 +419,7 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
     lam, phi = _diagonal_ground_state(stacks, s.doubled)
     # an overflow gives an infinite or nan residual or gap, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _norm(_diagonal_action(sigma, s.doubled, phi) - lam * phi)
+        residual = _norm(_action(np.diag(sigma * _SIGNS), s.doubled, phi) - lam * phi)
         gap = s.value**2 * _svd_gap(cm.entries, p, sigma, q)
     if not residual + gap <= tol:
         raise EigensolverFailure(
@@ -514,7 +508,7 @@ def rotation_unitary(s: SpinValue, angles: EulerAngles) -> np.ndarray:
     Satisfies U S_j U+ = sum_k c_jk S_k for the matrix the angles came from.
     """
     _check_spin(s)
-    z_diag = np.arange(s.doubled, -s.doubled - 1, -2) / 2.0
+    z_diag = _spin_matrices(s.doubled)[2].diagonal()
     y_eigvals, y_eigvecs = _sy_eigenbasis(s.doubled)
     uy = (y_eigvecs * np.exp(1j * angles.phi * y_eigvals)) @ y_eigvecs.conj().T
     unitary = np.exp(1j * angles.theta * z_diag)[:, None] * uy * np.exp(1j * angles.xi * z_diag)
@@ -526,21 +520,18 @@ def rotation_unitary(s: SpinValue, angles: EulerAngles) -> np.ndarray:
 
 def rotated_singlet(C, s: SpinValue) -> StateVector:
     """The singlet with party B rotated by the unitary representing C."""
-    cm = as_coefficient_matrix(C)
-    if not cm.is_rotation:
-        raise NotARotation("matrix is not orthogonal with determinant +1")
-    unitary = rotation_unitary(s, euler_from_rotation(cm))
+    unitary = rotation_unitary(s, euler_from_rotation(C))
     d = s.doubled + 1
     # (1 (x) U) acts on the amplitude matrix as Psi U^T
     return StateVector(singlet_state(s).amplitudes.reshape(d, d) @ unitary.T)
 
 
 def expectation(state: StateVector, op: HermitianOperator) -> float:
-    """<state| op |state> as a real number."""
+    """<state| op |state> as a real number, imaginary within 1e-10 * max(1, max|entries|)."""
     if state.dim != op.dim:
         raise DimensionMismatch(f"state dim {state.dim} != operator dim {op.dim}")
     value = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > 1e-10 * max(1.0, float(np.max(np.abs(op.entries)))):
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 

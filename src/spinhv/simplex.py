@@ -1,8 +1,8 @@
 """Dense phase-1 simplex deciding feasibility of small equality-form systems.
 
-Finds x >= 0 with A x = b on problems with a handful of rows and up to a
-few thousand columns, which is all the correlation polytopes need, by
-minimizing the total of one artificial variable per row.  Bland's rule
+Finds x >= 0 with A x = b on problems with a handful of rows and up to
+56 448 columns (the conserving polytope at 2s = 29, the most for 2s <= 40)
+by minimizing the total of one artificial variable per row.  Bland's rule
 keeps the pivoting cycle-free.  When the system is infeasible the phase-1
 dual vector is returned as a Farkas certificate: y.A <= 0 columnwise while
 y.b > 0.

@@ -12,13 +12,14 @@ from spinhv import (
     enumerate_unconstrained,
     expectation,
     inclusion_check,
+    magnitude_feasible,
     membership,
     quantum_bound,
     spin_operators,
     vertex_correlations,
 )
 from spinhv.matrices import EXAMPLE1
-from spinhv.polytope import vertex_array_quadrupled
+from spinhv.polytope import InclusionReport, vertex_array_quadrupled
 
 
 def quantum_correlation_point(C, s: SpinValue) -> CorrelationPoint:
@@ -246,3 +247,30 @@ class TestInclusion:
     def test_infeasible_spin(self):
         with pytest.raises(InfeasibleSpin):
             inclusion_check(SpinValue(3))
+
+    def test_matches_the_corner_loop(self):
+        # the search over all 32 corner products that the closed form replaced
+        for doubled in range(1, 17):
+            s = SpinValue(doubled)
+            if not magnitude_feasible(s):
+                continue
+            expected = InclusionReport(strict=False)
+            for row in vertex_array_quadrupled(s, False):
+                candidate = CorrelationPoint(row.reshape(3, 3) / 4.0)
+                result = membership(candidate, s, constrained=True)
+                if not result.inside:
+                    expected = InclusionReport(True, candidate, result)
+                    break
+            report = inclusion_check(s)
+            assert report.strict == expected.strict == (doubled != 1)
+            if not expected.strict:
+                assert report.witness is None and report.witness_certificate is None
+                continue
+            assert np.array_equal(report.witness.entries, expected.witness.entries)
+            got, want = report.witness_certificate, expected.witness_certificate
+            assert not got.inside
+            assert np.array_equal(got.functional, want.functional)
+            assert (got.functional_bound, got.functional_value) == (
+                want.functional_bound,
+                want.functional_value,
+            )

@@ -32,6 +32,8 @@ from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRIC
 from spinhv.quantum import (
     EIG_RESIDUAL_TOL,
     _CHARACTERS,
+    _SIGNS,
+    _action,
     _certify_least,
     _diagonal_blocks,
     _norm,
@@ -74,6 +76,16 @@ class TestSpinOperators:
             assert np.linalg.norm(sx @ sy - sy @ sx - 1j * sz) <= 1e-10
             assert np.linalg.norm(sy @ sz - sz @ sy - 1j * sx) <= 1e-10
             assert np.linalg.norm(sz @ sx - sx @ sz - 1j * sy) <= 1e-10
+
+    def test_real_table_gives_the_ladder_operators(self):
+        # S_x, S_y, S_z built from S_+ directly in complex arithmetic
+        for doubled in range(1, 41):
+            sval = doubled / 2.0
+            m = np.arange(doubled, -doubled - 1, -2) / 2.0
+            raising = np.diag(np.sqrt(sval * (sval + 1.0) - m[1:] * (m[1:] + 1.0)), k=1)
+            expected = ((raising + raising.T) / 2.0, (raising - raising.T) / 2.0j, np.diag(m))
+            for op, reference in zip(spin_operators(SpinValue(doubled)), expected):
+                assert np.array_equal(op.entries, reference)
 
     def test_unsupported_spin(self):
         with pytest.raises(UnsupportedSpin):
@@ -171,14 +183,16 @@ class TestDiagonalReduction:
             assert np.linalg.norm(bell_action(C, s, state) - value * state.amplitudes) <= 1e-9
 
     def test_bell_action_matches_dense_operator(self):
+        # built-in, random, integer, rank-deficient and reflected C
         rng = np.random.default_rng(11)
-        for doubled in (1, 2, 5):
+        for doubled in range(1, 13):
             s = SpinValue(doubled)
-            C = rng.normal(size=(3, 3))
             amps = rng.normal(size=(doubled + 1) ** 2) + 1j * rng.normal(size=(doubled + 1) ** 2)
             state = StateVector(amps / np.linalg.norm(amps))
-            dense = bell_operator(C, s).entries @ state.amplitudes
-            assert np.linalg.norm(bell_action(C, s, state) - dense) <= 1e-12
+            for C in _oracle_matrices():
+                dense = bell_operator(C, s).entries @ state.amplitudes
+                scale = max(1.0, float(np.linalg.norm(C)) * spin_squared(doubled))
+                assert np.linalg.norm(bell_action(C, s, state) - dense) <= 1e-14 * scale
 
     def test_bell_action_dimension_check(self):
         with pytest.raises(DimensionMismatch):
@@ -290,6 +304,17 @@ class TestSymmetryBlocks:
         dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries
         assert np.max(np.abs(dense.imag)) == 0.0
         np.testing.assert_allclose(basis @ diagonal @ basis.T, dense.real, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("doubled", [*range(1, 13), 20, 21])
+    def test_residual_kernel_applies_dense_operator(self, doubled):
+        # D phi as the eigenpair residual of quantum_value takes it, against the dense D
+        sigma = np.array([1.3, -0.4, -2.1])
+        d = doubled + 1
+        phi = np.random.default_rng(doubled).normal(size=(d, d))
+        dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries @ phi.reshape(-1)
+        applied = _action(np.diag(sigma * _SIGNS), doubled, phi)
+        assert applied.dtype == float
+        np.testing.assert_allclose(applied.reshape(-1), dense.real, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("doubled", [1, 2, 7, 8, 20, 21, 40])
     def test_fixed_block_order(self, doubled):
@@ -492,6 +517,15 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             expectation(singlet_state(SpinValue(1)), HermitianOperator(np.eye(9)))
 
+    def test_imaginary_residue_relative_to_the_operator(self):
+        # entries near 1e7 leave an imaginary rounding residue up to about 1e-9
+        for seed in range(20):
+            C = np.random.default_rng(seed).normal(size=(3, 3)) * 1e6
+            for doubled in (3, 7, 12):
+                s = SpinValue(doubled)
+                value, state = quantum_bound(C, s)
+                assert expectation(state, bell_operator(C, s)) == pytest.approx(value, rel=1e-12)
+
 
 class TestSchmidt:
     def test_singlet_is_maximally_entangled(self):
@@ -561,3 +595,14 @@ class TestStateVector:
     def test_hermiticity_validated(self):
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_hermiticity_relative_to_the_entries(self):
+        # a Bell operator conjugated by a local unitary keeps asymmetry near eps * max|entries|
+        s = SpinValue(6)
+        B = bell_operator(1e3 * np.random.default_rng(1).normal(size=(3, 3)), s).entries
+        cyclic = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        u = rotation_unitary(s, euler_from_rotation(cyclic))
+        U = np.kron(u, u)
+        HermitianOperator(U @ B @ U.conj().T)
+        with pytest.raises(ValueError):
+            HermitianOperator(1e6 * np.array([[0.0, 1.0], [0.0, 0.0]]))
