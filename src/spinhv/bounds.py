@@ -25,7 +25,7 @@ from .assignments import enumerate_unconstrained, extreme_assignments
 from .errors import BoundCheckFailure, InfeasibleSpin, NonFiniteMatrix
 from .number_theory import SpinValue
 
-# resolution at which minima are considered tied
+# resolution at which minima are considered tied, relative to the largest |entry| of the pair table
 TIE_TOL = 1e-12
 ROTATION_TOL = 1e-12
 # witness and undercut checks allow WITNESS_TOL * max(1, |beta|)
@@ -85,11 +85,14 @@ class BoundsReport:
 def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
     """Minimum of a (na, nb) value table with the tie-broken argmin.
 
-    Ties within TIE_TOL of the minimum are resolved to the smallest b index,
-    then the smallest a index, matching the scan order of the evaluation.
+    Ties within TIE_TOL times the table's largest |value| of the minimum
+    are resolved to the smallest b index, then the smallest a index,
+    matching the scan order of the evaluation.  The window scales with the
+    table, so a scaled matrix keeps its witness; it is 0 for a zero table.
     """
     best = float(values.min())
-    ii, jj = np.nonzero(values <= best + TIE_TOL)
+    peak = max(float(values.max()), -best)
+    ii, jj = np.nonzero(values <= best + TIE_TOL * peak)
     k = int(np.lexsort((ii, jj))[0])
     return best, int(ii[k]), int(jj[k])
 

@@ -28,9 +28,12 @@ identity gives each block entry from one row of D,
     <v_r'| D |v_r> = sum_b chi(g_b) sqrt(|stab r| / |stab r'|) D[r', b],
 
 over the nonzero entries b = g_b r of row r' in the orbit of r, so only
-the rows of least indices are read.  The least eigenvalue of every block
-is found, and the eigenvector of the lowest block only, mapped back to a
-real amplitude matrix phi.
+the rows of least indices are read.  The largest block, last in the
+fixed order, is solved first, for its least eigenvalue lam0.  A block
+with a Cholesky factor at lam0 + tol has no eigenvalue at or below that,
+so it cannot hold the least one and it passes the leastness certificate
+below, whose floor is lower.  The others get their least eigenvalue, and
+the lowest one's eigenvector is mapped back to a real amplitude matrix phi.
 
 The value is certified in D's frame.  The computed P, Q and sigma give B
 only up to the SVD gap g = s^2 (sum |C - P diag(sigma) Q^T| plus a term
@@ -38,7 +41,8 @@ for the orthogonality defect of P and Q), since ||S_k (x) S_l|| = s^2;
 so B's eigenvalues lie within g of D's.  The residual of phi against D
 plus g within the tolerance shows an eigenvalue of B near the value; a
 Cholesky factor of every block of D shifted by value - tol + g shows no
-eigenvalue of B lies below value - tol.  quantum_value stops there and
+eigenvalue of B lies below value - tol.  Only the blocks without a factor
+at lam0 + tol are factored again.  quantum_value stops there and
 reports the Schmidt coefficients of phi, which are those of B's ground
 state by local-unitary invariance.  quantum_bound also rotates phi back
 to B's frame and checks its residual against the full C, a cross-check
@@ -323,43 +327,57 @@ def _diagonal_blocks(sigma: np.ndarray, doubled: int) -> list[np.ndarray]:
     return [part.reshape(count, size, size) for part, (count, size) in zip(parts, table.stacks)]
 
 
-def _diagonal_ground_state(stacks: list[np.ndarray], doubled: int) -> tuple[float, np.ndarray]:
-    """Least eigenvalue of D and a real eigenvector, as a (2s+1, 2s+1) amplitude matrix.
+def _has_factor(blocks: np.ndarray, floor: float) -> bool:
+    """Whether block - floor * I has a Cholesky factor, so all its eigenvalues exceed floor.
 
-    Every block's eigenvalues are found; only the block holding the least
-    one (the first in the fixed order on an exact tie) is solved for its
-    vector, which is mapped back through the basis table.
+    For a (count, size, size) stack, one call answers for every block.
+    """
+    # floor on the diagonal only: an infinite floor times I would put nan off it
+    with np.errstate(over="ignore"):
+        shifted = blocks - np.diag(np.full(blocks.shape[-1], floor))
+    # cholesky factors a diagonal the shift overflowed to inf without complaint
+    if not np.all(np.isfinite(shifted)):
+        return False
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _diagonal_ground_state(
+    stacks: list[np.ndarray], doubled: int, tol: float
+) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """Least eigenvalue of D, a real eigenvector as a (2s+1, 2s+1) amplitude matrix, and the candidates.
+
+    The candidates are the largest block, solved first for lam0, and the
+    blocks without a Cholesky factor at lam0 + tol, tried a stack at a time
+    and block by block only in a stack that fails.  A block with a factor
+    lies above the least eigenvalue and above the certificate's floor
+    value - tol + g, as g <= tol and value <= lam0 up to rounding.  The
+    candidate with the least eigenvalue (the first in the fixed order on an
+    exact tie) is solved for its vector unless it is the largest block.
     """
     table = _symmetry_blocks(doubled)
-    minima = np.concatenate([np.linalg.eigvalsh(stack)[:, 0] for stack in stacks])
-    k = int(np.argmin(minima))
-    eigenvalues, eigenvectors = np.linalg.eigh([block for stack in stacks for block in stack][k])
+    blocks = [block for stack in stacks for block in stack]
+    k = last = len(blocks) - 1
+    eigenvalues, eigenvectors = np.linalg.eigh(blocks[last])
+    floor, candidates, start = eigenvalues[0] + tol, [], 0
+    for stack in stacks:
+        others = stack[: last - start]  # all but the largest block, the last of all
+        if len(others) and not _has_factor(others, floor):
+            candidates += [start + j for j, block in enumerate(others) if not _has_factor(block, floor)]
+        start += len(stack)
+    candidates.append(last)
+    if len(candidates) > 1:
+        k = candidates[int(np.argmin([np.linalg.eigvalsh(blocks[j])[0] for j in candidates]))]
+    if k != last:
+        eigenvalues, eigenvectors = np.linalg.eigh(blocks[k])
     block = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
     amplitudes = table.coefficients[block] * eigenvectors[:, :1]
     d = doubled + 1
     phi = np.bincount(table.members[block].ravel(), amplitudes.ravel(), d * d)
-    return float(eigenvalues[0]), phi.reshape(d, d)
-
-
-def _certify_least(stacks: list[np.ndarray], floor: float) -> None:
-    """Raise EigensolverFailure unless every eigenvalue of D exceeds floor.
-
-    block - floor * I has a Cholesky factor exactly when it is positive
-    definite, that is when all of the block's eigenvalues exceed floor.
-    """
-    for stack in stacks:
-        # floor on the diagonal only: an infinite floor times I would put nan off it
-        with np.errstate(over="ignore"):
-            shifted = stack - np.diag(np.full(stack.shape[-1], floor))
-        try:
-            # cholesky factors a diagonal the shift overflowed to inf without complaint
-            if not np.all(np.isfinite(shifted)):
-                raise np.linalg.LinAlgError
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise EigensolverFailure(
-                f"an eigenvalue lies at or below {floor:.17g}, under the one found"
-            ) from None
+    return float(eigenvalues[0]), phi.reshape(d, d), [blocks[j] for j in candidates]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -416,7 +434,7 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
             factor[:, 2] = -factor[:, 2]
             sigma[2] = -sigma[2]
     stacks = _diagonal_blocks(sigma, s.doubled)
-    lam, phi = _diagonal_ground_state(stacks, s.doubled)
+    lam, phi, candidates = _diagonal_ground_state(stacks, s.doubled, tol)
     # an overflow gives an infinite or nan residual or gap, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _norm(_action(np.diag(sigma * _SIGNS), s.doubled, phi) - lam * phi)
@@ -425,7 +443,9 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
         raise EigensolverFailure(
             f"eigenpair residual {residual:.3e} plus SVD gap {gap:.3e} exceeds tolerance"
         )
-    _certify_least(stacks, lam - tol + gap)
+    floor = lam - tol + gap
+    if not all(_has_factor(block, floor) for block in candidates):
+        raise EigensolverFailure(f"an eigenvalue lies at or below {floor:.17g}, under the one found")
     return lam, phi, p, q, tol
 
 

@@ -12,7 +12,7 @@ from spinhv import (
     classical_bound,
     classical_bound_bruteforce,
 )
-from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, ROTATION_Z45
+from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRICES, ROTATION_Z45
 
 SQRT2 = math.sqrt(2.0)
 
@@ -128,6 +128,33 @@ class TestProperties:
                 v2, w2 = classical_bound(lam * C, s, constrained)
                 assert v2 == pytest.approx(lam * v1, rel=1e-12, abs=1e-12)
                 assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("power", [-45, 40])
+    def test_power_of_two_scaling_keeps_witnesses(self, power):
+        # a power of two scales every pair-table entry exactly, and the tie
+        # window scales with the table, so witnesses and ties stay put
+        rng = np.random.default_rng(17)
+        matrices = [np.asarray(m, dtype=float) for m in NAMED_MATRICES.values()]
+        matrices += [rng.normal(size=(3, 3)) for _ in range(10)]
+        for C in matrices:
+            for doubled in range(1, 9):
+                plain = bounds_report(C, SpinValue(doubled))
+                scaled = bounds_report(C * 2.0**power, SpinValue(doubled))
+                assert scaled.beta_unconstrained == plain.beta_unconstrained * 2.0**power
+                assert np.array_equal(scaled.witness_unconstrained, plain.witness_unconstrained)
+                assert scaled.constrained_infeasible == plain.constrained_infeasible
+                if not plain.constrained_infeasible:
+                    assert scaled.beta_constrained == plain.beta_constrained * 2.0**power
+                    assert np.array_equal(scaled.witness_constrained, plain.witness_constrained)
+
+    def test_tiny_matrix_witness_reaches_its_bound(self):
+        # an absolute tie window of 1e-12 tied every pair of this table and
+        # reported the first, a = b = (-1, -1, 0), worth +2^-44
+        C = IDENTITY * 2.0**-45
+        for constrained in (True, False):
+            beta, (a, b) = classical_bound(C, SpinValue(2), constrained)
+            assert beta < 0
+            assert (a / 2.0) @ C @ (b / 2.0) == beta
 
     def test_signed_permutation_invariance(self, random_signed_permutation):
         rng = np.random.default_rng(11)

@@ -29,14 +29,17 @@ from spinhv import (
     spin_operators,
 )
 from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRICES, ROTATION_Z45
+import spinhv.quantum as quantum_module
 from spinhv.quantum import (
     EIG_RESIDUAL_TOL,
     _CHARACTERS,
     _SIGNS,
     _action,
-    _certify_least,
     _diagonal_blocks,
+    _diagonal_ground_state,
+    _has_factor,
     _norm,
+    _singular_values,
     _svd_gap,
     _symmetry_blocks,
 )
@@ -353,15 +356,108 @@ class TestSymmetryBlocks:
         value = quantum_bound(np.diag(sigma), SpinValue(6))[0]
         stacks = _diagonal_blocks(sigma, 6)
         tol = EIG_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(sigma)) * spin_squared(6))
-        _certify_least(stacks, value - tol)
-        with pytest.raises(EigensolverFailure):
-            _certify_least(stacks, value + 1.0)
+        assert all(_has_factor(block, value - tol) for stack in stacks for block in stack)
+        assert not all(_has_factor(block, value + 1.0) for stack in stacks for block in stack)
+        # a stack has a factor exactly when each of its blocks has one
+        for floor in (value - tol, value + 1.0):
+            for stack in stacks:
+                assert _has_factor(stack, floor) == all(_has_factor(block, floor) for block in stack)
 
     @pytest.mark.filterwarnings("error")
     def test_leastness_rejects_an_overflowed_shift(self):
         # 1e308 + 1e308 is inf, and cholesky would factor that without complaint
-        with pytest.raises(EigensolverFailure):
-            _certify_least([np.array([[[1e308]]])], -1e308)
+        for blocks in (np.array([[1e308]]), np.array([[[1e308]]])):
+            assert not _has_factor(blocks, -1e308)
+            assert _has_factor(blocks, 0.0)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # no factor anywhere: every block is a candidate, and the certificate fails
+        monkeypatch.setattr(quantum_module, "_has_factor", lambda block, floor: False)
+        with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
+            quantum_value(EXAMPLE3, SpinValue(6))
+
+
+_EIGH, _EIGVALSH = np.linalg.eigh, np.linalg.eigvalsh
+
+
+def _all_block_rule(stacks: list[np.ndarray], doubled: int) -> tuple[float, np.ndarray, int]:
+    """The block choice without exclusion: eigvalsh of every block, the first argmin, eigh of it."""
+    table = _symmetry_blocks(doubled)
+    k = int(np.argmin(np.concatenate([_EIGVALSH(stack)[:, 0] for stack in stacks])))
+    eigenvalues, eigenvectors = _EIGH([block for stack in stacks for block in stack][k])
+    block = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
+    d = doubled + 1
+    amplitudes = table.coefficients[block] * eigenvectors[:, :1]
+    phi = np.bincount(table.members[block].ravel(), amplitudes.ravel(), d * d).reshape(d, d)
+    return float(eigenvalues[0]), phi, k
+
+
+def _choice_matrices(doubled: int, random_rotation) -> list[np.ndarray]:
+    rng = np.random.default_rng(300 + doubled)
+    matrices = [np.asarray(m, dtype=float) for m in NAMED_MATRICES.values()]
+    matrices += [rng.normal(size=(3, 3)) for _ in range(3)]
+    matrices += [rng.integers(-3, 4, size=(3, 3)).astype(float) for _ in range(2)]
+    matrices += [random_rotation(rng) for _ in range(2)]
+    # degenerate sigma: ties between blocks
+    matrices += [np.zeros((3, 3)), IDENTITY, -IDENTITY]
+    return matrices + [np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0, 0.0])]
+
+
+class TestBlockChoice:
+    """The ground block found by Cholesky exclusion against the rule that solved every block."""
+
+    def test_matches_the_all_block_rule(self, monkeypatch, random_rotation):
+        built, eigh_sizes, eigvalsh_calls = [], [], []
+        blocks_of = quantum_module._diagonal_blocks
+
+        def recorded(*args):
+            built.append(blocks_of(*args))
+            return built[-1]
+
+        monkeypatch.setattr(quantum_module, "_diagonal_blocks", recorded)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or _EIGH(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(1) or _EIGVALSH(a))
+        misses = several = 0
+        for doubled in [*range(1, 21), 25, 30, 40]:
+            s = SpinValue(doubled)
+            largest = int(_symmetry_blocks(doubled).sizes[-1])
+            for index, C in enumerate(_choice_matrices(doubled, random_rotation)):
+                for log in (built, eigh_sizes, eigvalsh_calls):
+                    log.clear()
+                value, schmidt = quantum_value(C, s)
+                lam, phi, k = _all_block_rule(built[0], doubled)
+                last = sum(len(stack) for stack in built[0]) - 1
+                where = f"2s = {doubled}, matrix {index}"
+                assert value == lam, where
+                assert np.array_equal(schmidt, _singular_values(phi)), where
+                # eigh on the largest block first, and again only for another ground block
+                assert eigh_sizes[0] == largest and len(eigh_sizes) == 1 + (k != last), where
+                # eigvalsh on the candidates when there is more than one
+                assert len(eigvalsh_calls) != 1, where
+                misses += k != last
+                several += len(eigvalsh_calls) >= 2
+                assert quantum_bound(C, s)[0] == lam, where
+        assert misses and several
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_shift_makes_every_block_a_candidate(self):
+        # D's entries reach about 1e308, and every block has a diagonal entry
+        # that the shift to lam0 + tol takes past the float limit, so none is
+        # excluded; the certificate's shift overflows too, and the solve
+        # fails as it did when every block was certified
+        doubled, s = 40, SpinValue(40)
+        C = 2.4e305 * IDENTITY
+        sigma = np.linalg.svd(C, compute_uv=False)
+        stacks = _diagonal_blocks(sigma, doubled)
+        tol = EIG_RESIDUAL_TOL * _norm(C) * s.value * (s.value + 1.0)
+        assert math.isfinite(tol)
+        lam, phi, candidates = _diagonal_ground_state(stacks, doubled, tol)
+        assert len(candidates) == sum(len(stack) for stack in stacks) == 8
+        reference, reference_phi, _ = _all_block_rule(stacks, doubled)
+        assert lam == reference
+        assert np.array_equal(phi, reference_phi)
+        with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
+            quantum_value(C, s)
 
 
 class TestSinglet:
