@@ -28,11 +28,9 @@ from .errors import (
     NotARotation,
     SpinHvError,
     UnsupportedSpin,
-    ValueNotInSpectrum,
 )
 from .number_theory import (
     SpinValue,
-    infeasible_spins_up_to,
     is_sum_of_three_squares,
     magnitude_feasible,
 )
@@ -42,18 +40,15 @@ from .polytope import (
     MembershipResult,
     inclusion_check,
     membership,
-    vertex_correlations,
 )
 from .quantum import (
     EulerAngles,
     HermitianOperator,
     StateVector,
-    basis_state,
     bell_action,
     bell_operator,
     euler_from_rotation,
     expectation,
-    projection_probability,
     quantum_bound,
     quantum_value,
     rotated_singlet,
@@ -84,8 +79,6 @@ __all__ = [
     "SpinValue",
     "StateVector",
     "UnsupportedSpin",
-    "ValueNotInSpectrum",
-    "basis_state",
     "bell_action",
     "bell_operator",
     "bounds_report",
@@ -97,11 +90,9 @@ __all__ = [
     "expectation",
     "feasible_by_enumeration",
     "inclusion_check",
-    "infeasible_spins_up_to",
     "is_sum_of_three_squares",
     "magnitude_feasible",
     "membership",
-    "projection_probability",
     "quantum_bound",
     "quantum_value",
     "rotated_singlet",
@@ -110,5 +101,4 @@ __all__ = [
     "singlet_state",
     "spin_operators",
     "squared_magnitude_classes",
-    "vertex_correlations",
 ]

@@ -28,7 +28,7 @@ from .number_theory import SpinValue
 # resolution at which minima are considered tied, relative to the largest |entry| of the pair table
 TIE_TOL = 1e-12
 ROTATION_TOL = 1e-12
-# witness and undercut checks allow WITNESS_TOL * max(1, |beta|)
+# witness and undercut checks allow WITNESS_TOL * max(|beta|, min(1, 9 s^2 max|c_kl|))
 WITNESS_TOL = 1e-9
 
 
@@ -130,9 +130,21 @@ def classical_bound_bruteforce(C, s: SpinValue, constrained: bool) -> tuple[floa
     return _minimize(as_coefficient_matrix(C), rows)
 
 
-def _witness_reproduces(cm: CoefficientMatrix, pair: np.ndarray, beta: float) -> bool:
+def _check_tol(cm: CoefficientMatrix, s: SpinValue, beta: float) -> float:
+    """The allowance of the witness and undercut checks for a bound beta.
+
+    9 s^2 max|c_kl| bounds every |a . C . b| over the spectrum box, so the
+    floor min(1, 9 s^2 max|c_kl|) shrinks with the matrix, as the tie
+    window does, and a wrong witness of a tiny matrix still fails.  The
+    allowance is never above WITNESS_TOL * max(1, |beta|).
+    """
+    magnitude = 9.0 * s.value**2 * float(np.max(np.abs(cm.entries)))
+    return WITNESS_TOL * max(abs(beta), min(1.0, magnitude))
+
+
+def _witness_reproduces(cm: CoefficientMatrix, s: SpinValue, pair: np.ndarray, beta: float) -> bool:
     a, b = pair / 2.0
-    return abs(float(a @ cm.entries @ b) - beta) <= WITNESS_TOL * max(1.0, abs(beta))
+    return abs(float(a @ cm.entries @ b) - beta) <= _check_tol(cm, s, beta)
 
 
 def bounds_report(C, s: SpinValue) -> BoundsReport:
@@ -140,18 +152,18 @@ def bounds_report(C, s: SpinValue) -> BoundsReport:
 
     Raises BoundCheckFailure when a witness does not reproduce its bound
     or the conserving bound falls below the standard one, both relative
-    to the scale of the bound.
+    to the scale of the bound and of the matrix (_check_tol).
     """
     cm = as_coefficient_matrix(C)
     beta_bar, w_bar = classical_bound(cm, s, constrained=False)
-    if not _witness_reproduces(cm, w_bar, beta_bar):
+    if not _witness_reproduces(cm, s, w_bar, beta_bar):
         raise BoundCheckFailure("witness does not reproduce its bound")
     try:
         beta, w = classical_bound(cm, s, constrained=True)
     except InfeasibleSpin:
         return BoundsReport(None, beta_bar, None, w_bar, constrained_infeasible=True)
-    if not _witness_reproduces(cm, w, beta):
+    if not _witness_reproduces(cm, s, w, beta):
         raise BoundCheckFailure("witness does not reproduce its bound")
-    if beta < beta_bar - WITNESS_TOL * max(1.0, abs(beta_bar)):
+    if beta < beta_bar - _check_tol(cm, s, beta_bar):
         raise BoundCheckFailure("constrained bound undercuts the unconstrained one")
     return BoundsReport(beta, beta_bar, w, w_bar)

@@ -25,10 +25,6 @@ class DimensionMismatch(SpinHvError):
     """Operator and state dimensions disagree."""
 
 
-class ValueNotInSpectrum(SpinHvError):
-    """A projection value is not an eigenvalue of the requested axis operator."""
-
-
 class NotARotation(SpinHvError):
     """A coefficient matrix was required to be a proper rotation but is not."""
 

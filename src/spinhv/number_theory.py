@@ -17,8 +17,7 @@ from dataclasses import dataclass
 class SpinValue:
     """A spin magnitude or projection stored as twice its value.
 
-    Doubling keeps half-integers exact: s = 3/2 is SpinValue(3), a
-    projection of -1 is SpinValue(-2).
+    Doubling keeps half-integers exact: s = 3/2 is SpinValue(3).
     """
 
     doubled: int
@@ -27,20 +26,9 @@ class SpinValue:
         if not isinstance(self.doubled, int):
             raise TypeError(f"doubled must be an int, got {type(self.doubled).__name__}")
 
-    @classmethod
-    def from_value(cls, value: float) -> "SpinValue":
-        doubled = round(2 * value)
-        if abs(2 * value - doubled) > 1e-9:
-            raise ValueError(f"{value} is not an integer or half-integer")
-        return cls(doubled)
-
     @property
     def value(self) -> float:
         return self.doubled / 2
-
-    @property
-    def is_half_integer(self) -> bool:
-        return self.doubled % 2 != 0
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:
@@ -73,14 +61,3 @@ def magnitude_feasible(s: SpinValue) -> bool:
         return s.doubled % 4 == 1
     n = s.doubled // 2
     return is_sum_of_three_squares(n * (n + 1))
-
-
-def infeasible_spins_up_to(max_doubled: int) -> list[SpinValue]:
-    """All spins s with 1 <= 2s <= max_doubled that admit no conserving triple."""
-    if max_doubled < 1:
-        raise ValueError("max_doubled must be >= 1")
-    return [
-        SpinValue(d)
-        for d in range(1, max_doubled + 1)
-        if not magnitude_feasible(SpinValue(d))
-    ]

@@ -21,9 +21,10 @@ import numpy as np
 from .assignments import extreme_assignments
 from .errors import LpNumericalFailure
 from .number_theory import SpinValue
-from .simplex import solve_equality_lp
+from .simplex import FEAS_TOL, solve_equality_lp
 
-MEMBERSHIP_TOL = 1e-8
+# the simplex's phase-1 threshold, reported as the membership tolerance
+MEMBERSHIP_TOL = FEAS_TOL
 RECONSTRUCTION_TOL = 1e-7
 
 
@@ -88,12 +89,6 @@ def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
     return np.unique(np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9), axis=0)
 
 
-def vertex_correlations(s: SpinValue, constrained: bool) -> list[CorrelationPoint]:
-    """The polytope's generating points in canonical (sorted) order."""
-    quadrupled = vertex_array_quadrupled(s, constrained)
-    return [CorrelationPoint(row.reshape(3, 3) / 4.0) for row in quadrupled]
-
-
 def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> MembershipResult:
     """Whether the point is a convex combination of the polytope's vertices.
 
@@ -108,7 +103,7 @@ def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> Memb
     n = len(vertices)
     A = np.vstack([vertices.T, np.ones((1, n))])
     rhs = np.append(target, 1.0)
-    outcome = solve_equality_lp(A, rhs, feas_tol=MEMBERSHIP_TOL)
+    outcome = solve_equality_lp(A, rhs)
 
     if outcome.feasible:
         weights = outcome.x

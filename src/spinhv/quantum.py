@@ -65,7 +65,6 @@ from .errors import (
     EigensolverFailure,
     NotARotation,
     UnsupportedSpin,
-    ValueNotInSpectrum,
 )
 from .number_theory import SpinValue
 
@@ -78,12 +77,10 @@ GIMBAL_TOL = 1e-12
 # the largest symmetry block of D has 231 rows at 2s = 40
 MAX_SPIN_DOUBLED = 40
 
-_AXES = ("x", "y", "z")
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Square complex matrix, Hermitian within HERMITICITY_TOL * max(1, max|entries|)."""
+    """Square finite complex matrix, Hermitian within HERMITICITY_TOL * max(1, max|entries|)."""
 
     entries: np.ndarray
 
@@ -91,6 +88,8 @@ class HermitianOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("operator has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
             raise ValueError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", m)
@@ -102,16 +101,18 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm complex amplitude vector.
+    """Unit-norm finite complex amplitude vector.
 
-    Single-party states are indexed by m = s, s-1, ..., -s; bipartite
-    states by (m_A, m_B) pairs, row-major with party A as the slow index.
+    Bipartite states are indexed by (m_A, m_B) pairs, m = s, s-1, ..., -s,
+    row-major with party A as the slow index.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("state vector has non-finite amplitudes")
         if abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
             raise ValueError("state vector is not normalized")
         object.__setattr__(self, "amplitudes", v)
@@ -571,36 +572,3 @@ def _singular_values(amplitudes: np.ndarray) -> np.ndarray:
     if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-10:
         raise EigensolverFailure("Schmidt coefficients do not square-sum to one")
     return coeffs
-
-
-def basis_state(s: SpinValue, m: SpinValue) -> StateVector:
-    """The single-party eigenstate |s, m> of S_z."""
-    _check_spin(s)
-    _check_in_spectrum(s.doubled, m)
-    amps = np.zeros(s.doubled + 1, dtype=complex)
-    amps[(s.doubled - m.doubled) // 2] = 1.0
-    return StateVector(amps)
-
-
-def _check_in_spectrum(spin_doubled: int, value: SpinValue) -> None:
-    if abs(value.doubled) > spin_doubled or (value.doubled - spin_doubled) % 2 != 0:
-        raise ValueNotInSpectrum(
-            f"projection {value} is not in the spectrum of a spin-{SpinValue(spin_doubled)} operator"
-        )
-
-
-def projection_probability(state: StateVector, axis: str, value: SpinValue) -> float:
-    """Probability |<v|state>|^2 of measuring the given projection along x, y or z.
-
-    v is the axis eigenvector of that projection; its phase does not matter.
-    """
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    spin_doubled = state.dim - 1
-    _check_in_spectrum(spin_doubled, value)
-    op = spin_operators(SpinValue(spin_doubled))[_AXES.index(axis)]
-    eigenvalues, eigenvectors = np.linalg.eigh(op.entries)
-    k = int(np.argmin(np.abs(eigenvalues - value.value)))
-    if abs(eigenvalues[k] - value.value) > 1e-8:
-        raise ValueNotInSpectrum(f"no eigenvalue near {value} on axis {axis}")
-    return float(abs(np.vdot(eigenvectors[:, k], state.amplitudes)) ** 2)

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import LpNumericalFailure
 
 PIVOT_TOL = 1e-9
+# phase-1 artificial residue below which the system counts as feasible
+FEAS_TOL = 1e-8
 RATIO_TIE_TOL = 1e-12
 MAX_ITER = 20000
 
@@ -59,12 +61,8 @@ def _iterate(tableau: np.ndarray, basis: list[int]) -> None:
     raise LpNumericalFailure("simplex iteration limit reached")
 
 
-def solve_equality_lp(A, b, feas_tol: float = 1e-8) -> LpOutcome:
-    """Feasibility of A x = b, x >= 0, with a nonnegative x or a Farkas vector.
-
-    feas_tol is the phase-1 threshold below which the artificial residue
-    counts as zero.
-    """
+def solve_equality_lp(A, b) -> LpOutcome:
+    """Feasibility of A x = b, x >= 0, with a nonnegative x or a Farkas vector."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = A.shape
@@ -86,7 +84,7 @@ def solve_equality_lp(A, b, feas_tol: float = 1e-8) -> LpOutcome:
     _iterate(tableau, basis)
 
     residue = -float(tableau[m, -1])
-    if residue > feas_tol:
+    if residue > FEAS_TOL:
         # dual of phase 1, read off the artificial reduced costs
         y = 1.0 - tableau[m, n : n + m]
         y = np.where(flip, -y, y)

@@ -23,17 +23,15 @@ from spinhv import (
     feasible_by_enumeration,
     magnitude_feasible,
     membership,
-    projection_probability,
     quantum_bound,
     rotated_singlet,
     schmidt_coefficients,
     singlet_state,
     spin_operators,
     squared_magnitude_classes,
-    vertex_correlations,
 )
-from spinhv.quantum import basis_state
 from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, ROTATION_Z45
+from spinhv.polytope import vertex_array_quadrupled
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,9 +165,12 @@ def test_criterion_09_singlet_correlator():
 
 def test_criterion_10_projection_zero_refutation():
     with _Stopwatch(10, "projection-zero probabilities vanish for |s=2, m=1>", 1.0):
-        state = basis_state(SpinValue(4), SpinValue(2))
-        for axis in ("x", "y", "z"):
-            assert projection_probability(state, axis, SpinValue(0)) <= 1e-12
+        state = np.zeros(5)
+        state[1] = 1.0  # |s=2, m=1>, basis ordered m = 2 down to -2
+        for op in spin_operators(SpinValue(4)):
+            eigenvalues, eigenvectors = np.linalg.eigh(op.entries)
+            (zero,) = np.flatnonzero(np.abs(eigenvalues) <= 1e-8)
+            assert abs(np.vdot(eigenvectors[:, zero], state)) ** 2 <= 1e-12
 
 
 def test_criterion_11_optimal_state_schmidt_structure():
@@ -197,15 +198,13 @@ def test_criterion_12_polytope_separation():
 
         outside = membership(point, s, constrained=True)
         assert not outside.inside
-        vertices = np.array([p.flat() for p in vertex_correlations(s, True)])
-        values = vertices @ outside.functional
+        values = (vertex_array_quadrupled(s, True) / 4.0) @ outside.functional
         assert np.all(values >= outside.functional_bound - 1e-8)
         assert outside.functional_value < outside.functional_bound
 
         inside = membership(point, s, constrained=False)
         assert inside.inside
-        vertices = np.array([p.flat() for p in vertex_correlations(s, False)])
-        recon = vertices.T @ inside.weights
+        recon = (vertex_array_quadrupled(s, False) / 4.0).T @ inside.weights
         assert np.max(np.abs(recon - point.flat())) <= 1e-7
 
 

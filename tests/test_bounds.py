@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import spinhv.bounds as bounds_module
 from spinhv import (
+    BoundCheckFailure,
     CoefficientMatrix,
     InfeasibleSpin,
     NonFiniteMatrix,
@@ -155,6 +157,18 @@ class TestProperties:
             beta, (a, b) = classical_bound(C, SpinValue(2), constrained)
             assert beta < 0
             assert (a / 2.0) @ C @ (b / 2.0) == beta
+
+    @pytest.mark.parametrize("power", [0, -45])
+    def test_wrong_witness_fails_at_any_scale(self, monkeypatch, power):
+        # the pair table's argmax as witness, worth -beta; at 2^-45 an
+        # allowance of 1e-9 * max(1, |beta|) let it pass
+        def argmax_pair(values):
+            i, j = np.unravel_index(np.argmax(values), values.shape)
+            return float(values.min()), int(i), int(j)
+
+        monkeypatch.setattr(bounds_module, "_select_pair", argmax_pair)
+        with pytest.raises(BoundCheckFailure):
+            bounds_report(IDENTITY * 2.0**power, SpinValue(2))
 
     def test_signed_permutation_invariance(self, random_signed_permutation):
         rng = np.random.default_rng(11)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from spinhv import (
     SpinValue,
     feasible_by_enumeration,
-    infeasible_spins_up_to,
     is_sum_of_three_squares,
     magnitude_feasible,
 )
@@ -29,14 +28,6 @@ class TestSpinValue:
         assert SpinValue(3).value == 1.5
         assert str(SpinValue(3)) == "3/2"
         assert str(SpinValue(4)) == "2"
-        assert SpinValue(1).is_half_integer
-        assert not SpinValue(2).is_half_integer
-
-    def test_from_value(self):
-        assert SpinValue.from_value(1.5) == SpinValue(3)
-        assert SpinValue.from_value(2) == SpinValue(4)
-        with pytest.raises(ValueError):
-            SpinValue.from_value(0.3)
 
     def test_ordering(self):
         assert SpinValue(1) < SpinValue(2)
@@ -97,8 +88,10 @@ class TestMagnitudeFeasible:
         assert magnitude_feasible(SpinValue(6))
 
     def test_known_integer_gaps(self):
-        for s in (12, 15, 19, 44, 51):
-            assert not magnitude_feasible(SpinValue(2 * s)), s
+        # every spin up to 2s = 110 without a conserving triple
+        infeasible = [d for d in range(1, 111) if not magnitude_feasible(SpinValue(d))]
+        assert {d // 2 for d in infeasible if d % 2 == 0} == {12, 15, 19, 44, 51}
+        assert {d for d in infeasible if d % 2 == 1 and d <= 40} == set(range(3, 41, 4))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -123,27 +116,3 @@ class TestMagnitudeFeasible:
             s = SpinValue(doubled)
             assert magnitude_feasible(s) == feasible_by_enumeration(s), doubled
 
-
-class TestInfeasibleSpinsUpTo:
-    def test_up_to_twenty(self):
-        got = infeasible_spins_up_to(40)
-        integers = {s.doubled // 2 for s in got if s.doubled % 2 == 0}
-        halves = {s.doubled for s in got if s.doubled % 2 == 1}
-        assert integers == {12, 15, 19}
-        assert halves == {d for d in range(1, 41, 2) if d % 4 == 3}
-
-    def test_trivial_range(self):
-        assert infeasible_spins_up_to(1) == []
-
-    def test_up_to_fifty_five(self):
-        got = infeasible_spins_up_to(110)
-        integers = {s.doubled // 2 for s in got if s.doubled % 2 == 0}
-        assert integers == {12, 15, 19, 44, 51}
-
-    def test_sorted(self):
-        got = infeasible_spins_up_to(60)
-        assert got == sorted(got)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            infeasible_spins_up_to(0)

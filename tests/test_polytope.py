@@ -16,7 +16,6 @@ from spinhv import (
     membership,
     quantum_bound,
     spin_operators,
-    vertex_correlations,
 )
 from spinhv.matrices import EXAMPLE1
 from spinhv.polytope import InclusionReport, vertex_array_quadrupled
@@ -42,6 +41,15 @@ def full_grid_products(doubled: int) -> np.ndarray:
     return np.unique(np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9), axis=0)
 
 
+def vertex_rows(s: SpinValue, constrained: bool) -> np.ndarray:
+    """The polytope's (n, 9) correlator rows in canonical order."""
+    return vertex_array_quadrupled(s, constrained) / 4.0
+
+
+def as_point(row: np.ndarray) -> CorrelationPoint:
+    return CorrelationPoint(row.reshape(3, 3))
+
+
 def certificate_is_sound(result, vertices: np.ndarray, point: np.ndarray) -> bool:
     values = vertices @ result.functional
     return bool(
@@ -57,18 +65,17 @@ class TestVertexCorrelations:
 
         assignments = enumerate_constrained(SpinValue(2))
         assert len(assignments) ** 2 == 144  # pairs before dedup
-        points = vertex_correlations(SpinValue(2), constrained=True)
-        assert len(points) == 72  # a(x)b = (-a)(x)(-b) halves the count
+        assert len(vertex_rows(SpinValue(2), constrained=True)) == 72  # a(x)b = (-a)(x)(-b) halves the count
 
     def test_half_spin_counts_and_entries(self):
-        points = vertex_correlations(SpinValue(1), constrained=False)
-        assert len(points) == 32  # 64 pairs, paired off by global sign
-        for p in points:
-            assert set(np.abs(p.flat())) == {0.25}
+        rows = vertex_rows(SpinValue(1), constrained=False)
+        assert len(rows) == 32  # 64 pairs, paired off by global sign
+        for row in rows:
+            assert set(np.abs(row)) == {0.25}
 
     def test_infeasible_spin(self):
         with pytest.raises(InfeasibleSpin):
-            vertex_correlations(SpinValue(3), constrained=True)
+            vertex_array_quadrupled(SpinValue(3), constrained=True)
 
     def test_deterministic_order(self):
         a = vertex_array_quadrupled(SpinValue(2), True)
@@ -79,26 +86,24 @@ class TestVertexCorrelations:
     def test_exact_quarter_integers(self):
         quad = vertex_array_quadrupled(SpinValue(2), True)
         assert quad.dtype.kind == "i"
-        points = vertex_correlations(SpinValue(2), True)
-        assert np.allclose(points[0].entries * 4, quad[0].reshape(3, 3))
+        # the correlators are quarter-integers, so dividing by 4 is exact
+        assert np.array_equal(vertex_rows(SpinValue(2), True) * 4.0, quad)
 
 
 class TestMembership:
     def test_vertices_are_inside(self):
         s = SpinValue(2)
-        points = vertex_correlations(s, constrained=True)
-        vertices = np.array([p.flat() for p in points])
-        for p in points[::7]:
-            result = membership(p, s, constrained=True)
+        vertices = vertex_rows(s, constrained=True)
+        for row in vertices[::7]:
+            result = membership(as_point(row), s, constrained=True)
             assert result.inside
-            assert np.max(np.abs(vertices.T @ result.weights - p.flat())) <= 1e-7
+            assert np.max(np.abs(vertices.T @ result.weights - row)) <= 1e-7
 
     def test_extreme_vertex_gets_unit_weight(self):
         s = SpinValue(1)
-        points = vertex_correlations(s, constrained=False)
-        all_plus = [p for p in points if np.all(p.flat() == 0.25)]
+        all_plus = [row for row in vertex_rows(s, constrained=False) if np.all(row == 0.25)]
         assert len(all_plus) == 1
-        result = membership(all_plus[0], s, constrained=False)
+        result = membership(as_point(all_plus[0]), s, constrained=False)
         assert result.inside
         assert result.weights.max() == pytest.approx(1.0, abs=1e-9)
 
@@ -107,15 +112,14 @@ class TestMembership:
         point = quantum_correlation_point(EXAMPLE1, s)
         result = membership(point, s, constrained=True)
         assert not result.inside
-        vertices = np.array([p.flat() for p in vertex_correlations(s, True)])
-        assert certificate_is_sound(result, vertices, point.flat())
+        assert certificate_is_sound(result, vertex_rows(s, True), point.flat())
 
     def test_quantum_point_inside_standard_polytope(self):
         s = SpinValue(2)
         point = quantum_correlation_point(EXAMPLE1, s)
         result = membership(point, s, constrained=False)
         assert result.inside
-        vertices = np.array([p.flat() for p in vertex_correlations(s, False)])
+        vertices = vertex_rows(s, False)
         recon = vertices.T @ result.weights
         assert np.max(np.abs(recon - point.flat())) <= 1e-7
         assert result.weights.sum() == pytest.approx(1.0, abs=1e-8)
@@ -134,8 +138,7 @@ class TestMembership:
         rng = np.random.default_rng(61)
         for doubled in (1, 2, 4):
             s = SpinValue(doubled)
-            points = vertex_correlations(s, constrained=True)
-            vertices = np.array([p.flat() for p in points])
+            vertices = vertex_rows(s, constrained=True)
             for _ in range(100):
                 weights = rng.dirichlet(np.ones(len(vertices)))
                 mix = CorrelationPoint((weights @ vertices).reshape(3, 3))
@@ -146,8 +149,7 @@ class TestMembership:
         corner = CorrelationPoint(np.full((3, 3), -4.0))  # all correlators at -s^2
         result = membership(corner, s, constrained=True)
         assert not result.inside
-        vertices = np.array([p.flat() for p in vertex_correlations(s, True)])
-        assert certificate_is_sound(result, vertices, corner.flat())
+        assert certificate_is_sound(result, vertex_rows(s, True), corner.flat())
 
     def test_entry_bound_validated(self):
         too_big = CorrelationPoint(np.full((3, 3), 4.0))
@@ -194,8 +196,8 @@ class TestCornerPolytope:
     @pytest.mark.parametrize("doubled", [2, 4])
     def test_constrained_vertices_inside_standard(self, doubled):
         s = SpinValue(doubled)
-        for point in vertex_correlations(s, constrained=True):
-            assert membership(point, s, constrained=False).inside
+        for row in vertex_rows(s, constrained=True):
+            assert membership(as_point(row), s, constrained=False).inside
 
     def test_origin_inside_at_every_cli_spin(self):
         origin = CorrelationPoint(np.zeros((3, 3)))
@@ -212,9 +214,7 @@ class TestClassicalBoundConsistency:
         for doubled in (1, 2, 4):
             s = SpinValue(doubled)
             for constrained in (True, False):
-                vertices = np.array(
-                    [p.flat() for p in vertex_correlations(s, constrained)]
-                )
+                vertices = vertex_rows(s, constrained)
                 for _ in range(5):
                     C = rng.normal(size=(3, 3))
                     via_vertices = float((vertices @ C.reshape(9)).min())

@@ -12,14 +12,11 @@ from spinhv import (
     SpinValue,
     StateVector,
     UnsupportedSpin,
-    ValueNotInSpectrum,
-    basis_state,
     bell_action,
     bell_operator,
     classical_bound,
     euler_from_rotation,
     expectation,
-    projection_probability,
     quantum_bound,
     quantum_value,
     rotated_singlet,
@@ -653,36 +650,6 @@ class TestSchmidt:
             schmidt_coefficients(singlet_state(SpinValue(1)), SpinValue(2))
 
 
-class TestProjectionProbability:
-    def test_orthogonal_z(self):
-        state = basis_state(SpinValue(4), SpinValue(2))  # |s=2, m=1>
-        assert projection_probability(state, "z", SpinValue(0)) == 0.0
-
-    def test_zero_probability_x_and_y(self):
-        state = basis_state(SpinValue(4), SpinValue(2))
-        assert projection_probability(state, "x", SpinValue(0)) <= 1e-12
-        assert projection_probability(state, "y", SpinValue(0)) <= 1e-12
-
-    def test_probabilities_sum_to_one(self):
-        state = basis_state(SpinValue(4), SpinValue(2))
-        for axis in ("x", "y", "z"):
-            total = sum(
-                projection_probability(state, axis, SpinValue(d)) for d in range(-4, 5, 2)
-            )
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_value_not_in_spectrum(self):
-        state = basis_state(SpinValue(4), SpinValue(2))
-        with pytest.raises(ValueNotInSpectrum):
-            projection_probability(state, "z", SpinValue(1))  # half-integer on integer spin
-        with pytest.raises(ValueNotInSpectrum):
-            projection_probability(state, "z", SpinValue(6))  # beyond the spectrum
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            projection_probability(basis_state(SpinValue(2), SpinValue(0)), "w", SpinValue(0))
-
-
 class TestStateVector:
     def test_norm_validated(self):
         with pytest.raises(ValueError):
@@ -702,3 +669,16 @@ class TestStateVector:
         HermitianOperator(U @ B @ U.conj().T)
         with pytest.raises(ValueError):
             HermitianOperator(1e6 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_non_finite_operator_rejected(self):
+        # nan - nan and inf - inf pass the Hermiticity test, as nan > tol is False
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOperator(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOperator(np.diag([np.inf, 0.0]))
+
+    def test_non_finite_state_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(np.array([np.inf, 1.0]))
