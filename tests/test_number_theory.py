@@ -23,6 +23,11 @@ def three_squares_brute(n: int) -> bool:
     return False
 
 
+def infeasible_doubled_up_to(max_doubled: int) -> list[int]:
+    """Every 2s in 1..max_doubled whose spin has no conserving triple."""
+    return [d for d in range(1, max_doubled + 1) if not magnitude_feasible(SpinValue(d))]
+
+
 class TestSpinValue:
     def test_value_and_str(self):
         assert SpinValue(3).value == 1.5
@@ -88,10 +93,8 @@ class TestMagnitudeFeasible:
         assert magnitude_feasible(SpinValue(6))
 
     def test_known_integer_gaps(self):
-        # every spin up to 2s = 110 without a conserving triple
-        infeasible = [d for d in range(1, 111) if not magnitude_feasible(SpinValue(d))]
-        assert {d // 2 for d in infeasible if d % 2 == 0} == {12, 15, 19, 44, 51}
-        assert {d for d in infeasible if d % 2 == 1 and d <= 40} == set(range(3, 41, 4))
+        for s in (12, 15, 19, 44, 51):
+            assert not magnitude_feasible(SpinValue(2 * s)), s
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -116,3 +119,13 @@ class TestMagnitudeFeasible:
             s = SpinValue(doubled)
             assert magnitude_feasible(s) == feasible_by_enumeration(s), doubled
 
+
+class TestInfeasibleSpinsUpTo:
+    def test_up_to_twenty(self):
+        got = infeasible_doubled_up_to(40)
+        assert {d // 2 for d in got if d % 2 == 0} == {12, 15, 19}
+        assert {d for d in got if d % 2 == 1} == {d for d in range(1, 41, 2) if d % 4 == 3}
+
+    def test_up_to_fifty_five(self):
+        got = infeasible_doubled_up_to(110)
+        assert {d // 2 for d in got if d % 2 == 0} == {12, 15, 19, 44, 51}

@@ -650,6 +650,25 @@ class TestSchmidt:
             schmidt_coefficients(singlet_state(SpinValue(1)), SpinValue(2))
 
 
+def zero_projection_probability(state: np.ndarray, axis: int, doubled: int) -> float:
+    """|<m=0 along the axis|state>|^2, the m = 0 eigenvector taken from eigh."""
+    eigenvalues, eigenvectors = np.linalg.eigh(spin_operators(SpinValue(doubled))[axis].entries)
+    (zero,) = np.flatnonzero(np.abs(eigenvalues) <= 1e-8)
+    return abs(np.vdot(eigenvectors[:, zero], state)) ** 2
+
+
+class TestProjectionProbability:
+    # |s=2, m=1>, basis ordered m = 2 down to -2
+    STATE = np.eye(5)[1]
+
+    def test_orthogonal_z(self):
+        assert zero_projection_probability(self.STATE, 2, 4) == 0.0
+
+    def test_zero_probability_x_and_y(self):
+        assert zero_projection_probability(self.STATE, 0, 4) <= 1e-12
+        assert zero_projection_probability(self.STATE, 1, 4) <= 1e-12
+
+
 class TestStateVector:
     def test_norm_validated(self):
         with pytest.raises(ValueError):
