@@ -122,11 +122,19 @@ def squared_magnitude_classes(s: SpinValue) -> dict[int, int]:
 
     Keys are exact: the sum of squared doubled components, i.e. four
     times the squared length.  A key equal to conserving_target_doubled(s)
-    is present iff the constrained set is nonempty.  One bincount over the
-    outer sum of the squared spectrum, so no sort and no (n, 3) rows.
+    is present iff the constrained set is nonempty.  The squared sum does
+    not see signs, so one weighted bincount over the nonnegative octant of
+    the spectrum counts the whole grid: a component of value 0 stands for
+    itself (weight 1), any other for itself and its negative (weight 2).
+    No sort and no (n, 3) rows.
     """
     _require_positive(s)
-    squares = np.square(_spectrum(s))
-    counts = np.bincount((squares[:, None, None] + squares[:, None] + squares).reshape(-1))
+    half = np.arange(s.doubled % 2, s.doubled + 1, 2, dtype=np.int64)
+    squares = np.square(half)
+    weights = np.where(half == 0, 1.0, 2.0)
+    counts = np.bincount(
+        (squares[:, None, None] + squares[:, None] + squares).reshape(-1),
+        weights=(weights[:, None, None] * weights[:, None] * weights).reshape(-1),
+    ).astype(np.int64)  # exact: every count is below 2^53
     keys = np.flatnonzero(counts)
     return dict(zip(keys.tolist(), counts[keys].tolist()))

@@ -131,7 +131,7 @@ def classical_bound_bruteforce(C, s: SpinValue, constrained: bool) -> tuple[floa
 
 
 def _check_tol(cm: CoefficientMatrix, s: SpinValue, beta: float) -> float:
-    """The allowance of the witness and undercut checks for a bound beta.
+    """The allowance of the witness, undercut and violation checks for a bound beta.
 
     9 s^2 max|c_kl| bounds every |a . C . b| over the spectrum box, so the
     floor min(1, 9 s^2 max|c_kl|) shrinks with the matrix, as the tie

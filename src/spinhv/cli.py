@@ -22,7 +22,7 @@ from .assignments import (
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report
+from .bounds import WITNESS_TOL, CoefficientMatrix, _check_tol, bounds_report
 from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
@@ -116,10 +116,11 @@ def _witness_payload(pair) -> dict | None:
     return {"a_doubled": a, "b_doubled": b, "a": a_value, "b": b_value}
 
 
-def _violates(beta_q: float, beta: float) -> bool:
+def _violates(cm: CoefficientMatrix, s: SpinValue, beta_q: float, beta: float) -> bool:
     # a quantum value equal to the classical bound in exact arithmetic is no
-    # violation, whichever way the last bit rounds
-    return bool(beta_q < beta - WITNESS_TOL * max(1.0, abs(beta)))
+    # violation, whichever way the last bit rounds; the window shrinks with
+    # the matrix, so a tiny matrix still shows its violation
+    return bool(beta_q < beta - _check_tol(cm, s, beta))
 
 
 def _quarter(key: int, s: SpinValue) -> str:
@@ -178,9 +179,9 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "witness_unconstrained": _witness_payload(rep.witness_unconstrained),
         "optimal_state_schmidt": [float(v) for v in schmidt],
         "violates_constrained": (
-            None if rep.beta_constrained is None else _violates(beta_q, rep.beta_constrained)
+            None if rep.beta_constrained is None else _violates(cm, s, beta_q, rep.beta_constrained)
         ),
-        "violates_unconstrained": _violates(beta_q, rep.beta_unconstrained),
+        "violates_unconstrained": _violates(cm, s, beta_q, rep.beta_unconstrained),
     }
     report = _report("bounds", inputs, {"witness_check": WITNESS_TOL}, results)
     return report, 0
@@ -319,8 +320,9 @@ def main(argv=None) -> int:
     except (BoundCheckFailure, EigensolverFailure, LpNumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    # one write: json.dump with indent writes every chunk separately
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    # the report on one line in one write: without indent, json.dumps takes
+    # the C encoder; `python3 -m json.tool` pretty-prints it
+    sys.stdout.write(json.dumps(report) + "\n")
     return code
 
 

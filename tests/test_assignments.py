@@ -221,3 +221,5 @@ class TestSquaredMagnitudeClasses:
         )
         classes = squared_magnitude_classes(s)
         assert list(classes.items()) == list(zip(keys.tolist(), counts.tolist()))
+        # ints, so the report prints "count": 8 and not 8.0
+        assert all(type(count) is int for count in classes.values())

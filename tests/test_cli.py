@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import warnings
@@ -33,7 +32,10 @@ def run_cli(capsys, *argv):
 
 
 def strip_timestamp(text: str) -> str:
-    return "\n".join(line for line in text.splitlines() if '"timestamp"' not in line)
+    """The one JSON report in text, encoded again without its timestamp (key order kept)."""
+    report = json.loads(text)
+    del report["timestamp"]
+    return json.dumps(report)
 
 
 class TestFeasibilityCommand:
@@ -145,6 +147,21 @@ class TestBoundsCommand:
             assert report["results"]["violates_unconstrained"] is False, doubled
         _, report = run_cli(capsys, "bounds", "--matrix", "example1", "--spin-doubled", "2")
         assert report["results"]["violates_constrained"] is True
+
+    def test_violation_flags_do_not_depend_on_the_matrix_scale(self, capsys, tmp_path):
+        # the violation window shrinks with the matrix, as the witness check's
+        # does: example1 * 2^-40 still violates beta (beta_q -2.33e-12 < beta
+        # -1.82e-12), and identity * 2^-40 still ties it
+        cases = (("example1", EXAMPLE1, (True, False)), ("identity", np.eye(3), (False, False)))
+        for name, matrix, expected in cases:
+            for power in (0, -40):
+                path = tmp_path / f"{name}{power}.txt"
+                path.write_text(" ".join(repr(float(v)) for v in (matrix * 2.0**power).ravel()))
+                code, report = run_cli(capsys, "bounds", "--matrix", str(path), "--spin-doubled", "2")
+                assert code == 0
+                results = report["results"]
+                flags = (results["violates_constrained"], results["violates_unconstrained"])
+                assert flags == expected, (name, power)
 
     def test_unknown_matrix(self, capsys):
         assert run_cli(capsys, "bounds", "--matrix", "nosuch", "--spin-doubled", "2")[0] == 2
@@ -424,12 +441,11 @@ class TestReportEncoding:
 
         monkeypatch.setattr(cli_module, "_report", keep)
         assert main(argv) == 0
-        expected = io.StringIO()
-        json.dump(reports[0], expected, indent=2)
-        print(file=expected)
+        out = capsys.readouterr().out
         # a flag, not an assert on the texts: pytest's diff of long texts takes minutes
-        identical = capsys.readouterr().out == expected.getvalue()
-        assert identical, "stdout differs from the json.dump text"
+        identical = out == json.dumps(reports[0]) + "\n"
+        assert identical, "stdout differs from the json.dumps text"
+        assert out.count("\n") == 1
 
 
 class TestReportShape:
