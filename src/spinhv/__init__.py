@@ -42,12 +42,10 @@ from .polytope import (
     membership,
 )
 from .quantum import (
-    EulerAngles,
     HermitianOperator,
     StateVector,
     bell_action,
     bell_operator,
-    euler_from_rotation,
     expectation,
     quantum_bound,
     quantum_value,
@@ -67,7 +65,6 @@ __all__ = [
     "CorrelationPoint",
     "DimensionMismatch",
     "EigensolverFailure",
-    "EulerAngles",
     "HermitianOperator",
     "InclusionReport",
     "InfeasibleSpin",
@@ -86,7 +83,6 @@ __all__ = [
     "classical_bound_bruteforce",
     "enumerate_constrained",
     "enumerate_unconstrained",
-    "euler_from_rotation",
     "expectation",
     "feasible_by_enumeration",
     "inclusion_check",

@@ -9,6 +9,11 @@ P^T and Q^T
 
     B = (U_P (x) U_Q) D (U_P (x) U_Q)^+,   D = sum_j sigma_j S_j (x) S_j.
 
+U_R comes from the rotation matrix itself: it maps the standard basis of
+S to that of T_j = sum_k R_jk S_k, the eigenvectors of T_z phased so that
+T_x + i T_y has real positive steps, as S_+ has.  That fixes U_R up to a
+global phase, which no caller depends on.
+
 B and D share their spectrum, and their ground states differ by a local
 unitary, which keeps the Schmidt coefficients.  Every operator here
 comes from one real table R = (S_x, i S_y, S_z) in the S_z basis and one
@@ -72,7 +77,6 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
-GIMBAL_TOL = 1e-12
 
 # the largest symmetry block of D has 231 rows at 2s = 40
 MAX_SPIN_DOUBLED = 40
@@ -122,24 +126,6 @@ class StateVector:
         return len(self.amplitudes)
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """z-y-z rotation angles in radians."""
-
-    theta: float
-    phi: float
-    xi: float
-
-    def __post_init__(self) -> None:
-        eps = 1e-12
-        if not (-math.pi - eps <= self.theta <= math.pi + eps):
-            raise ValueError("theta must lie in [-pi, pi]")
-        if not (-eps <= self.phi <= math.pi + eps):
-            raise ValueError("phi must lie in [0, pi]")
-        if not (-math.pi - eps <= self.xi <= math.pi + eps):
-            raise ValueError("xi must lie in [-pi, pi]")
-
-
 def _check_spin(s: SpinValue) -> None:
     if not 1 <= s.doubled <= MAX_SPIN_DOUBLED:
         raise UnsupportedSpin(
@@ -161,11 +147,6 @@ def _spin_matrices(doubled: int) -> np.ndarray:
     table = np.stack([(raising + raising.T) / 2.0, (raising - raising.T) / 2.0, np.diag(m)])
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=None)
-def _sy_eigenbasis(doubled: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(_PHASES[1] * _spin_matrices(doubled)[1])
 
 
 # characters of the symmetries {1, flip, swap, flip swap} of D, one row
@@ -417,15 +398,17 @@ def _svd_gap(c: np.ndarray, p: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> 
 def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
     """The least eigenvalue of B certified in D's frame, with phi, P, Q and the tolerance.
 
-    With tol = EIG_RESIDUAL_TOL * max(1, ||C||_F s(s+1)) and g the SVD gap
-    times s^2, the residual of phi against D plus g stays within tol, so
-    an eigenvalue of B lies within tol of the value, and every block of D
-    shifted by value - tol + g has a Cholesky factor, so none of B lies
-    below value - tol.  The norms are taken overflow-safe, and a tol that
+    With tol = EIG_RESIDUAL_TOL * ||C||_F s(s+1), the scale floored only
+    at the least normal float so the zero matrix keeps a positive tol, and
+    g the SVD gap times s^2, the residual of phi against D plus g stays
+    within tol, so an eigenvalue of B lies within tol of the value, and
+    every block of D shifted by value - tol + g has a Cholesky factor, so
+    none of B lies below value - tol.  The norms are taken overflow-safe, and a tol that
     is not finite, which would pass any residual, raises
     EigensolverFailure before the solve.
     """
-    tol = EIG_RESIDUAL_TOL * max(1.0, _norm(cm.entries) * s.value * (s.value + 1.0))
+    scale = _norm(cm.entries) * s.value * (s.value + 1.0)
+    tol = EIG_RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
     if not math.isfinite(tol):
         raise EigensolverFailure("eigenpair tolerance overflows for this matrix and spin")
     p, sigma, qt = np.linalg.svd(cm.entries)
@@ -474,8 +457,8 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     cm = as_coefficient_matrix(C)
     _check_spin(s)
     lam, phi, p, q, tol = _diagonal_solution(cm, s)
-    u_p = rotation_unitary(s, euler_from_rotation(p.T))
-    u_q = rotation_unitary(s, euler_from_rotation(q.T))
+    u_p = rotation_unitary(s, p.T)
+    u_q = rotation_unitary(s, q.T)
     state = StateVector(u_p @ phi @ u_q.T)
     # an overflowing action gives an infinite or nan residual, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -493,46 +476,32 @@ def singlet_state(s: SpinValue) -> StateVector:
     """
     _check_spin(s)
     d = s.doubled + 1
-    amps = np.zeros(d * d, dtype=complex)
-    norm = 1.0 / math.sqrt(d)
-    for i in range(d):  # i = s - m, so -m sits at index d - 1 - i
-        amps[i * d + (d - 1 - i)] = -norm if i % 2 else norm
-    return StateVector(amps)
+    # row i holds m = s - i, so -m sits in column d - 1 - i
+    return StateVector(np.fliplr(np.diag((-1.0) ** np.arange(d) / math.sqrt(d))))
 
 
-def euler_from_rotation(C) -> EulerAngles:
-    """z-y-z angles of a rotation matrix, C = R_z(xi) R_y(phi) R_z(theta).
+def rotation_unitary(s: SpinValue, R) -> np.ndarray:
+    """A unitary U on the spin-s space with U S_j U^+ = sum_k R_jk S_k for a proper rotation R.
 
-    Near the gimbal-locked case |C_zz| = 1 the decomposition degenerates;
-    the convention here puts the whole z-rotation into theta with xi = 0
-    and phi in {0, pi}.
+    U maps the standard basis of S to that of T_j = sum_k R_jk S_k: column
+    m is the eigenvector of T_z for m, with phases that make every
+    <m+1| T_x + i T_y |m> real and positive, as <m+1| S_+ |m> is.  The
+    T_j obey the spin commutators only for det R = +1, so any other R
+    raises NotARotation.  U is defined only up to a global phase.
     """
-    cm = as_coefficient_matrix(C)
+    cm = as_coefficient_matrix(R)
     if not cm.is_rotation:
         raise NotARotation("matrix is not orthogonal with determinant +1")
-    m = cm.entries
-    if abs(m[2, 2]) >= 1.0 - GIMBAL_TOL:
-        if m[2, 2] > 0:
-            return EulerAngles(math.atan2(m[1, 0], m[0, 0]), 0.0, 0.0)
-        return EulerAngles(math.atan2(m[1, 0], m[1, 1]), math.pi, 0.0)
-    phi = math.acos(max(-1.0, min(1.0, m[2, 2])))
-    xi = math.atan2(m[1, 2], m[0, 2])
-    theta = math.atan2(m[2, 1], -m[2, 0])
-    return EulerAngles(theta, phi, xi)
-
-
-def rotation_unitary(s: SpinValue, angles: EulerAngles) -> np.ndarray:
-    """exp(i S_z theta) exp(i S_y phi) exp(i S_z xi) on the spin-s space.
-
-    The z factors are diagonal exponentials; the y factor comes from the
-    eigendecomposition of S_y reassembled with unit-modulus phases.
-    Satisfies U S_j U+ = sum_k c_jk S_k for the matrix the angles came from.
-    """
     _check_spin(s)
-    z_diag = _spin_matrices(s.doubled)[2].diagonal()
-    y_eigvals, y_eigvecs = _sy_eigenbasis(s.doubled)
-    uy = (y_eigvecs * np.exp(1j * angles.phi * y_eigvals)) @ y_eigvecs.conj().T
-    unitary = np.exp(1j * angles.theta * z_diag)[:, None] * uy * np.exp(1j * angles.xi * z_diag)
+    d = s.doubled + 1
+    # T_z and T_+ = T_x + i T_y over the real table, S_k = phase_k R_k
+    rows = np.array([cm.entries[2], cm.entries[0] + 1j * cm.entries[1]]) * _PHASES
+    t_z, t_plus = (rows @ _spin_matrices(s.doubled).reshape(3, d * d)).reshape(2, d, d)
+    # eigh orders m = -s .. s; t_m = <v_{m+1}| T_+ |v_m> sets the phase of v_{m+1}
+    vectors = np.linalg.eigh(t_z)[1]
+    steps = np.sum(vectors[:, 1:].conj() * (t_plus @ vectors[:, :-1]), axis=0)
+    phases = np.exp(1j * np.concatenate([[0.0], np.cumsum(np.angle(steps))]))
+    unitary = (vectors * phases)[:, ::-1]
     residual = float(np.linalg.norm(unitary.conj().T @ unitary - np.eye(len(unitary))))
     if residual > UNITARITY_TOL:
         raise EigensolverFailure(f"unitarity residual {residual:.3e} exceeds tolerance")
@@ -541,7 +510,7 @@ def rotation_unitary(s: SpinValue, angles: EulerAngles) -> np.ndarray:
 
 def rotated_singlet(C, s: SpinValue) -> StateVector:
     """The singlet with party B rotated by the unitary representing C."""
-    unitary = rotation_unitary(s, euler_from_rotation(C))
+    unitary = rotation_unitary(s, C)
     d = s.doubled + 1
     # (1 (x) U) acts on the amplitude matrix as Psi U^T
     return StateVector(singlet_state(s).amplitudes.reshape(d, d) @ unitary.T)

@@ -18,7 +18,6 @@ from spinhv import (
     bell_operator,
     classical_bound,
     classical_bound_bruteforce,
-    euler_from_rotation,
     expectation,
     feasible_by_enumeration,
     magnitude_feasible,

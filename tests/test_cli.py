@@ -375,7 +375,7 @@ class TestBoundsCertificate:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the bounds path")
 
-        for name in ("euler_from_rotation", "rotation_unitary", "bell_action", "schmidt_coefficients"):
+        for name in ("rotation_unitary", "bell_action", "schmidt_coefficients"):
             monkeypatch.setattr(quantum_module, name, forbidden)
         monkeypatch.setattr(cli_module, "bell_action", forbidden)
         code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", "4")

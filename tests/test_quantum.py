@@ -6,7 +6,6 @@ import pytest
 from spinhv import (
     DimensionMismatch,
     EigensolverFailure,
-    EulerAngles,
     HermitianOperator,
     NotARotation,
     SpinValue,
@@ -15,7 +14,6 @@ from spinhv import (
     bell_action,
     bell_operator,
     classical_bound,
-    euler_from_rotation,
     expectation,
     quantum_bound,
     quantum_value,
@@ -148,7 +146,7 @@ def _oracle_matrices() -> list[np.ndarray]:
     # repeated singular values
     matrices += [np.diag([2.0, 2.0, 1.0]), 3.0 * np.diag([1.0, -1.0, 1.0])]
     matrices += [rotation @ np.diag([1.0, 1.0, 0.5])]
-    # gimbal-locked rotations: pi about z and about x
+    # rotations by pi about z and about x
     matrices += [np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0])]
     return matrices
 
@@ -233,6 +231,35 @@ class TestQuantumValue:
         assert value == quantum_bound(1e308 * IDENTITY, SpinValue(1))[0]
         assert value == pytest.approx(-0.75e308, rel=1e-12)
         assert np.sum(schmidt**2) == pytest.approx(1.0, abs=1e-12)
+
+
+def _second_eigenpair(stacks: list[np.ndarray], doubled: int, tol: float):
+    """A wrong ground state: the largest block's second eigenpair, every block a candidate."""
+    table = _symmetry_blocks(doubled)
+    blocks = [block for stack in stacks for block in stack]
+    eigenvalues, eigenvectors = np.linalg.eigh(blocks[-1])
+    amplitudes = table.coefficients[-len(blocks[-1]) :] * eigenvectors[:, 1:2]
+    d = doubled + 1
+    phi = np.bincount(table.members[-len(blocks[-1]) :].ravel(), amplitudes.ravel(), d * d)
+    return float(eigenvalues[1]), phi.reshape(d, d), blocks
+
+
+class TestCertificateScale:
+    """The leastness certificate scales with ||C||_F s(s+1), with no floor at 1."""
+
+    @pytest.mark.parametrize("exponent", [0, -10, -30, -40, -60])
+    def test_rejects_an_excited_state_at_every_scale(self, monkeypatch, exponent):
+        monkeypatch.setattr(quantum_module, "_diagonal_ground_state", _second_eigenpair)
+        for C in (EXAMPLE1, EXAMPLE3):
+            with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
+                quantum_value(C * 2.0**exponent, SpinValue(2))
+
+    @pytest.mark.parametrize("exponent", [0, -40, -1000])
+    def test_answers_at_every_scale(self, exponent):
+        C = EXAMPLE1 * 2.0**exponent
+        value, schmidt = quantum_value(C, SpinValue(2))
+        assert value == pytest.approx(-(1.0 + math.sqrt(17.0)) / 2.0 * 2.0**exponent, rel=1e-12)
+        assert np.max(np.abs(schmidt - quantum_value(EXAMPLE1, SpinValue(2))[1])) <= 1e-12
 
 
 class TestSvdGap:
@@ -484,81 +511,64 @@ class TestSinglet:
             s = SpinValue(doubled)
             psi = singlet_state(s).amplitudes
             for _ in range(5):
-                angles = euler_from_rotation(random_rotation(rng))
-                U = rotation_unitary(s, angles)
+                U = rotation_unitary(s, random_rotation(rng))
                 rotated = np.kron(U, U) @ psi
                 assert abs(abs(np.vdot(psi, rotated)) - 1.0) <= 1e-9
 
 
-class TestEulerAngles:
-    def test_identity(self):
-        angles = euler_from_rotation(IDENTITY)
-        assert (angles.theta, angles.phi, angles.xi) == (0.0, 0.0, 0.0)
+def _intertwining_rotations(random_rotation) -> list[np.ndarray]:
+    rng = np.random.default_rng(37)
+    # rotations by pi about z, x and y, where T_z = +-S_z is already diagonal
+    pi_rotations = [np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])]
+    return [IDENTITY, ROTATION_Z45, *pi_rotations, *(random_rotation(rng) for _ in range(20))]
 
-    def test_z_rotation(self):
-        angles = euler_from_rotation(ROTATION_Z45)
-        assert angles.theta == pytest.approx(math.pi / 4)
-        assert angles.phi == 0.0
-        assert angles.xi == 0.0
 
-    def test_y_rotation(self):
-        c, s = 0.0, 1.0  # 90 degrees
-        ry = np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-        angles = euler_from_rotation(ry)
-        assert angles.theta == pytest.approx(0.0, abs=1e-12)
-        assert angles.phi == pytest.approx(math.pi / 2)
-        assert angles.xi == pytest.approx(0.0, abs=1e-12)
-
-    def test_round_trip_conjugation(self, random_rotation):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            C = random_rotation(rng)
-            angles = euler_from_rotation(C)
-            for doubled in (1, 2, 3):
-                s = SpinValue(doubled)
-                U = rotation_unitary(s, angles)
-                ops = [op.entries for op in spin_operators(s)]
-                for j in range(3):
-                    lhs = U @ ops[j] @ U.conj().T
-                    rhs = sum(C[j, k] * ops[k] for k in range(3))
-                    assert np.linalg.norm(lhs - rhs) <= 1e-9
-
-    def test_not_a_rotation(self):
-        with pytest.raises(NotARotation):
-            euler_from_rotation(EXAMPLE1)
-
-    def test_angle_ranges_validated(self):
-        with pytest.raises(ValueError):
-            EulerAngles(0.0, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            EulerAngles(4.0, 0.0, 0.0)
+def _equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    phase = np.vdot(a, b) / abs(np.vdot(a, b))
+    return np.max(np.abs(a * phase - b)) <= 1e-12
 
 
 class TestRotationUnitary:
-    def test_identity_angles(self):
-        U = rotation_unitary(SpinValue(2), EulerAngles(0.0, 0.0, 0.0))
-        assert np.allclose(U, np.eye(3))
+    def test_intertwines_spin_operators(self, random_rotation):
+        # U S_j U^+ = sum_k R_jk S_k at every supported spin
+        rotations = _intertwining_rotations(random_rotation)
+        for doubled in range(1, 41):
+            s = SpinValue(doubled)
+            ops = np.array([op.entries for op in spin_operators(s)])
+            for R in rotations:
+                U = rotation_unitary(s, R)
+                rotated = np.tensordot(R, ops, axes=1)
+                for j in range(3):
+                    error = np.linalg.norm(U @ ops[j] @ U.conj().T - rotated[j])
+                    assert error <= 1e-12 * max(1.0, s.value), (doubled, R)
+
+    def test_identity_up_to_phase(self):
+        assert _equal_up_to_phase(rotation_unitary(SpinValue(1), IDENTITY), np.eye(2))
 
     def test_half_spin_pi_about_z(self):
-        U = rotation_unitary(SpinValue(1), EulerAngles(math.pi, 0.0, 0.0))
-        expected = np.diag([np.exp(1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
-        assert np.allclose(U, expected)
+        U = rotation_unitary(SpinValue(1), np.diag([-1.0, -1.0, 1.0]))
+        assert _equal_up_to_phase(U, np.diag([1j, -1j]))
 
     def test_conjugation_for_z45(self):
         s = SpinValue(2)
-        U = rotation_unitary(s, euler_from_rotation(ROTATION_Z45))
+        U = rotation_unitary(s, ROTATION_Z45)
         ops = [op.entries for op in spin_operators(s)]
         for j in range(3):
             lhs = U @ ops[j] @ U.conj().T
             rhs = sum(ROTATION_Z45[j, k] * ops[k] for k in range(3))
-            assert np.linalg.norm(lhs - rhs) <= 1e-9
+            assert np.linalg.norm(lhs - rhs) <= 1e-12
 
     def test_unitarity(self, random_rotation):
         rng = np.random.default_rng(37)
-        for doubled in (1, 3, 8):
-            angles = euler_from_rotation(random_rotation(rng))
-            U = rotation_unitary(SpinValue(doubled), angles)
+        for doubled in (1, 3, 8, 40):
+            U = rotation_unitary(SpinValue(doubled), random_rotation(rng))
             assert np.linalg.norm(U.conj().T @ U - np.eye(doubled + 1)) <= 1e-10
+
+    def test_not_a_rotation(self):
+        # a reflection's T_j break [T_x, T_y] = i T_z, so no unitary intertwines them
+        for C in (EXAMPLE1, np.diag([1.0, 1.0, -1.0]), -ROTATION_Z45):
+            with pytest.raises(NotARotation):
+                rotation_unitary(SpinValue(2), C)
 
 
 class TestRotatedSinglet:
@@ -683,7 +693,7 @@ class TestStateVector:
         s = SpinValue(6)
         B = bell_operator(1e3 * np.random.default_rng(1).normal(size=(3, 3)), s).entries
         cyclic = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        u = rotation_unitary(s, euler_from_rotation(cyclic))
+        u = rotation_unitary(s, cyclic)
         U = np.kron(u, u)
         HermitianOperator(U @ B @ U.conj().T)
         with pytest.raises(ValueError):
