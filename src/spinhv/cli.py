@@ -190,15 +190,17 @@ def cmd_bounds(args) -> tuple[dict, int]:
 def cmd_table1(args) -> tuple[dict, int]:
     max_s = _spin(args.max_spin_doubled, 1, MAX_SPIN_DOUBLED, "table1")
 
+    # one wrapper, so its checks and cached is_rotation serve every spin
+    rotation = CoefficientMatrix(ROTATION_Z45)
     rows = []
     mismatch = False
     for doubled in range(1, max_s.doubled + 1):
         s = SpinValue(doubled)
-        rep = bounds_report(ROTATION_Z45, s)
+        rep = bounds_report(rotation, s)
         beta, beta_bar = rep.beta_constrained, rep.beta_unconstrained
         minus_s_s_plus_1 = -conserving_target_doubled(s) / 4.0
-        singlet = rotated_singlet(ROTATION_Z45, s)
-        measured = float(np.vdot(singlet.amplitudes, bell_action(ROTATION_Z45, s, singlet)).real)
+        singlet = rotated_singlet(rotation, s)
+        measured = float(np.vdot(singlet.amplitudes, bell_action(rotation, s, singlet)).real)
         row = {
             "spin": str(s),
             "spin_doubled": doubled,

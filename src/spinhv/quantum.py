@@ -19,48 +19,65 @@ unitary, which keeps the Schmidt coefficients.  Every operator here
 comes from one real table R = (S_x, i S_y, S_z) in the S_z basis and one
 phase constant, S_j = phase_j R_j with phase = (1, -i, 1), so D =
 sum_j sigma_j phase_j^2 R_j (x) R_j is real.  It
-changes m_A + m_B by 0 or +-2 only, so it keeps the parity of i + j over
+changes m_A + m_B by 0 or +-2 only, so it keeps the parity p of i + j over
 basis indices (i, j), and it commutes with two index permutations that
 keep that parity: the flip (i, j) -> (d-1-i, d-1-j), up to sign a
 rotation by pi about x on both parties, and the swap (i, j) -> (j, i).
 So D splits into 8 real blocks, one per parity and character of
-{1, flip, swap, flip swap}; the largest has 66 rows at 2s = 20 and 231
-at 2s = 40.  A block's basis vector is v_r = sum_g chi(g) e_{g r} /
-sqrt(4 |stab r|) for the least index r of an orbit on whose stabiliser
-the character chi is 1.  Since D commutes with the group, the projector
-identity gives each block entry from one row of D,
+{1, flip, swap, flip swap}.
+
+Only two of them can hold the least eigenvalue (Marshall's sign rule;
+Lieb and Mattis, J. Math. Phys. 3, 749 (1962)).  After the sign fix
+sigma_1 >= sigma_2 >= |sigma_3|, so
+
+    D = (sigma_1 - sigma_2)/4 (S+ S+ + S- S-) + (sigma_1 + sigma_2)/4 (S+ S- + S- S+)
+        + sigma_3 S_z S_z
+
+has nonnegative off-diagonal entries, and conjugating by (-1)^i on party
+A makes them all nonpositive.  Within parity p the conjugated matrix
+commutes with flip and swap, so by Perron-Frobenius it has a nonnegative
+ground vector, and the sum of its images under the group is a nonnegative
+ground vector fixed by both.  Undoing the conjugation, sector p has a
+ground state with flip character (-1)^(2s) and swap character (-1)^p.  So
+the least eigenvalue of D is the lesser of the least eigenvalues of these
+two Perron blocks, and the other six blocks are never built, as
+multilinearity lets the standard bound scan only 8 corners.  The largest
+Perron block has 66 rows at 2s = 20 and 231 at 2s = 40.
+
+A block's basis vector is v_r = sum_g chi(g) e_{g r} / sqrt(4 |stab r|)
+for the least index r of an orbit on whose stabiliser the character chi
+is 1.  Since D commutes with the group, the projector identity gives each
+block entry from one row of D,
 
     <v_r'| D |v_r> = sum_b chi(g_b) sqrt(|stab r| / |stab r'|) D[r', b],
 
 over the nonzero entries b = g_b r of row r' in the orbit of r, so only
-the rows of least indices are read.  The largest block, last in the
-fixed order, is solved first, for its least eigenvalue lam0.  A block
-with a Cholesky factor at lam0 + tol has no eigenvalue at or below that,
-so it cannot hold the least one and it passes the leastness certificate
-below, whose floor is lower.  The others get their least eigenvalue, and
-the lowest one's eigenvector is mapped back to a real amplitude matrix phi.
+the rows of the least indices of the two blocks are read.  Both blocks
+get their least eigenvalue; the lesser one's block (the first in the
+fixed order on an exact tie) is solved for its eigenvector, which is
+mapped back to a real amplitude matrix phi.
 
 The value is certified in D's frame.  The computed P, Q and sigma give B
 only up to the SVD gap g = s^2 (sum |C - P diag(sigma) Q^T| plus a term
 for the orthogonality defect of P and Q), since ||S_k (x) S_l|| = s^2;
-so B's eigenvalues lie within g of D's.  The residual of phi against D
-plus g within the tolerance shows an eigenvalue of B near the value; a
-Cholesky factor of every block of D shifted by value - tol + g shows no
-eigenvalue of B lies below value - tol.  Only the blocks without a factor
-at lam0 + tol are factored again.  quantum_value stops there and
-reports the Schmidt coefficients of phi, which are those of B's ground
-state by local-unitary invariance.  quantum_bound also rotates phi back
-to B's frame and checks its residual against the full C, a cross-check
-of the rotation code.  Both residuals come from one real kernel,
-Psi -> sum_kl a_kl R_k Psi R_l^T.  bell_operator keeps the dense B as the
-reference oracle.
+so B's eigenvalues lie within g of D's.  The residual of phi against the
+full D plus g within the tolerance shows an eigenvalue of B near the
+value.  A Cholesky factor of both Perron blocks shifted by
+value - tol + g shows that neither has an eigenvalue at or below that
+floor; the theorem, not a computation, shows the other six blocks have
+none below the lesser Perron minimum.  Together no eigenvalue of B lies
+below value - tol.  quantum_value stops there and reports the Schmidt
+coefficients of phi, which are those of B's ground state by local-unitary
+invariance.  quantum_bound also rotates phi back to B's frame and checks
+its residual against the full C, a cross-check of the rotation code.
+Both residuals come from one real kernel, Psi -> sum_kl a_kl R_k Psi
+R_l^T.  bell_operator keeps the dense B as the reference oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -78,7 +95,7 @@ NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
 
-# the largest symmetry block of D has 231 rows at 2s = 40
+# the largest Perron block of D has 231 rows at 2s = 40
 MAX_SPIN_DOUBLED = 40
 
 
@@ -156,19 +173,17 @@ _CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1
 
 @dataclass(frozen=True, eq=False)
 class _SymmetryBlocks:
-    """The symmetry-adapted basis of D and the block entries it gives.
+    """The symmetry-adapted bases of D's two Perron blocks and the block entries they give.
 
-    Blocks are in the fixed order: by size, then even parity first, then
-    by character in the order of _CHARACTERS; stacks lists (count, size)
-    for each run of equal sizes.  Row k of members and coefficients is
-    basis vector k, v_r for least indices r block after block and rising
-    within a block, with amplitude coefficients[k, g] at the flat index
-    members[k, g] = g r; repeated images add up.  The blocks, laid end to
-    end row-major, hold sigma @ weights at positions and zero elsewhere.
+    The blocks are in the fixed order: by size, then even parity first.
+    Row k of members and coefficients is basis vector k, v_r for least
+    indices r block after block and rising within a block, with amplitude
+    coefficients[k, g] at the flat index members[k, g] = g r; repeated
+    images add up.  The two blocks, laid end to end row-major, hold
+    sigma @ weights at positions and zero elsewhere.
     """
 
     sizes: np.ndarray
-    stacks: tuple[tuple[int, int], ...]
     members: np.ndarray
     coefficients: np.ndarray
     positions: np.ndarray
@@ -177,7 +192,7 @@ class _SymmetryBlocks:
 
 @lru_cache(maxsize=None)
 def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
-    """The nonempty blocks of D by parity of i + j and character chi of flip and swap.
+    """The two blocks of D that hold its least eigenvalue, one per parity of i + j.
 
     The projector identity: for least indices r', r of orbits of
     G = {1, flip, swap, flip swap} with chi 1 on their stabilisers,
@@ -185,8 +200,8 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     D commutes with G,
         <v_r'| D |v_r> = sum_b chi(g_b) sqrt(|stab r| / |stab r'|) D[r', b]
     over the nonzero entries b = g_b r of D's row r' in r's orbit.  Only
-    the rows of least indices are read, from the tridiagonal one-party
-    matrices; no (2s+1)^2-square matrix is formed.
+    the rows of the two blocks' least indices are read, from the
+    tridiagonal one-party matrices; no (2s+1)^2-square matrix is formed.
     """
     d = doubled + 1
     n = d * d
@@ -198,15 +213,23 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     orbit = images.min(axis=0)
     to_least = np.argmax(images == orbit, axis=0)
     least = np.flatnonzero(orbit == np.arange(n))
+    parity = (i + j)[least] % 2
+    # the Perron blocks: parity p, flip character (-1)^(2s) and swap character (-1)^p
+    chi = _CHARACTERS[2 * (doubled % 2) : 2 * (doubled % 2) + 2]
+    # chi has a basis vector on the orbit of r when it is 1 on stab r, so sums to |stab r| there
+    bases = [least[(parity == p) & (chi[p] @ fixed[:, least] > 0)] for p in (0, 1)]
+    # the fixed order: by size, then even parity first (sorted is stable)
+    order = sorted((0, 1), key=lambda p: len(bases[p]))
+    rows = np.sort(np.concatenate(bases))
 
     # row (i, j) of D is nonzero at most at (i + di, j + dj), |di|, |dj| <= 1:
-    # the one-party matrices, padded by one, give those 9 entries of each least row
+    # the one-party matrices, padded by one, give those 9 entries of each row read
     real = np.pad(_spin_matrices(doubled), ((0, 0), (1, 1), (1, 1)))
-    si, sj = i[least, None] + 1, j[least, None] + 1
+    si, sj = i[rows, None] + 1, j[rows, None] + 1
     ti, tj = si + np.repeat([-1, 0, 1], 3), sj + np.tile([-1, 0, 1], 3)
     values = _SIGNS[:, None, None] * real[:, si, ti] * real[:, sj, tj]
     read = np.any(values != 0, axis=0)
-    source, target = np.repeat(least, 9)[read.ravel()], ((ti - 1) * d + tj - 1)[read]
+    source, target = np.repeat(rows, 9)[read.ravel()], ((ti - 1) * d + tj - 1)[read]
     g, target = to_least[target], orbit[target]
     values = values[:, read] * np.sqrt(stabiliser[target] / stabiliser[source])
     # the entries of row r' in the orbit of r add up to one block entry
@@ -214,29 +237,23 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     pair_row, pair_col = np.divmod(pair, n)
     where = (where + len(pair) * np.arange(3)[:, None]).ravel()  # one bin per sigma_j and pair
 
-    # chi has a basis vector on the orbit of r when it is 1 on stab r, so sums to |stab r| there
-    parity = (i + j)[least] % 2
-    bases = [least[(parity == k // 4) & (_CHARACTERS[k % 4] @ fixed[:, least] > 0)] for k in range(8)]
-    # the fixed order of the blocks: by size, then by label
-    order = [k for k in sorted(range(8), key=lambda k: len(bases[k])) if len(bases[k])]
-    sizes = np.array([len(bases[k]) for k in order])
+    sizes = np.array([len(bases[p]) for p in order])
     start = 0
     positions, weights = [], []
-    for k, size in zip(order, sizes.tolist()):
+    for p, size in zip(order, sizes.tolist()):
         column = np.full(n, -1)
-        column[bases[k]] = np.arange(size)
+        column[bases[p]] = np.arange(size)
         # D keeps parity, so a row of the block meets only this block's columns
         row, col = column[pair_row], column[pair_col]
         inside = (row >= 0) & (col >= 0)
-        summed = np.bincount(where, (values * _CHARACTERS[k % 4][g]).ravel(), 3 * len(pair))
+        summed = np.bincount(where, (values * chi[p][g]).ravel(), 3 * len(pair))
         positions.append((start + row * size + col)[inside])
         weights.append(summed.reshape(3, -1)[:, inside])
         start += size * size
-    basis = np.concatenate([bases[k] for k in order])
-    characters = np.repeat(_CHARACTERS[[k % 4 for k in order]], sizes, axis=0)
+    basis = np.concatenate([bases[p] for p in order])
+    characters = np.repeat(chi[order], sizes, axis=0)
     return _SymmetryBlocks(
         sizes=sizes,
-        stacks=tuple((len(list(run)), size) for size, run in groupby(sizes.tolist())),
         members=images[:, basis].T,
         coefficients=characters / np.sqrt(4.0 * stabiliser[basis])[:, None],
         positions=np.concatenate(positions),
@@ -297,26 +314,18 @@ def _action(a: np.ndarray, doubled: int, psi: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_blocks(sigma: np.ndarray, doubled: int) -> list[np.ndarray]:
-    """The symmetry blocks of D = sum_j sigma_j S_j (x) S_j, as (count, size, size) stacks.
-
-    The stacks hold the blocks in the fixed order, equal sizes together,
-    so each stack goes to numpy's solvers in one call.
-    """
+    """The two Perron blocks of D = sum_j sigma_j S_j (x) S_j, in the fixed order."""
     table = _symmetry_blocks(doubled)
-    squares = [count * size * size for count, size in table.stacks]
-    flat = np.bincount(table.positions, weights=sigma @ table.weights, minlength=sum(squares))
-    parts = np.split(flat, np.cumsum(squares)[:-1])
-    return [part.reshape(count, size, size) for part, (count, size) in zip(parts, table.stacks)]
+    first, second = table.sizes.tolist()
+    flat = np.bincount(table.positions, weights=sigma @ table.weights, minlength=first**2 + second**2)
+    return [flat[: first**2].reshape(first, first), flat[first**2 :].reshape(second, second)]
 
 
-def _has_factor(blocks: np.ndarray, floor: float) -> bool:
-    """Whether block - floor * I has a Cholesky factor, so all its eigenvalues exceed floor.
-
-    For a (count, size, size) stack, one call answers for every block.
-    """
+def _has_factor(block: np.ndarray, floor: float) -> bool:
+    """Whether block - floor * I has a Cholesky factor, so all its eigenvalues exceed floor."""
     # floor on the diagonal only: an infinite floor times I would put nan off it
     with np.errstate(over="ignore"):
-        shifted = blocks - np.diag(np.full(blocks.shape[-1], floor))
+        shifted = block - np.diag(np.full(len(block), floor))
     # cholesky factors a diagonal the shift overflowed to inf without complaint
     if not np.all(np.isfinite(shifted)):
         return False
@@ -327,39 +336,20 @@ def _has_factor(blocks: np.ndarray, floor: float) -> bool:
     return True
 
 
-def _diagonal_ground_state(
-    stacks: list[np.ndarray], doubled: int, tol: float
-) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """Least eigenvalue of D, a real eigenvector as a (2s+1, 2s+1) amplitude matrix, and the candidates.
+def _diagonal_ground_state(blocks: list[np.ndarray], doubled: int) -> tuple[float, np.ndarray]:
+    """Least eigenvalue of D and a real eigenvector as a (2s+1, 2s+1) amplitude matrix.
 
-    The candidates are the largest block, solved first for lam0, and the
-    blocks without a Cholesky factor at lam0 + tol, tried a stack at a time
-    and block by block only in a stack that fails.  A block with a factor
-    lies above the least eigenvalue and above the certificate's floor
-    value - tol + g, as g <= tol and value <= lam0 up to rounding.  The
-    candidate with the least eigenvalue (the first in the fixed order on an
-    exact tie) is solved for its vector unless it is the largest block.
+    The Perron block with the lesser least eigenvalue (the first on an
+    exact tie) is solved for its vector.
     """
     table = _symmetry_blocks(doubled)
-    blocks = [block for stack in stacks for block in stack]
-    k = last = len(blocks) - 1
-    eigenvalues, eigenvectors = np.linalg.eigh(blocks[last])
-    floor, candidates, start = eigenvalues[0] + tol, [], 0
-    for stack in stacks:
-        others = stack[: last - start]  # all but the largest block, the last of all
-        if len(others) and not _has_factor(others, floor):
-            candidates += [start + j for j, block in enumerate(others) if not _has_factor(block, floor)]
-        start += len(stack)
-    candidates.append(last)
-    if len(candidates) > 1:
-        k = candidates[int(np.argmin([np.linalg.eigvalsh(blocks[j])[0] for j in candidates]))]
-    if k != last:
-        eigenvalues, eigenvectors = np.linalg.eigh(blocks[k])
+    k = int(np.argmin([np.linalg.eigvalsh(block)[0] for block in blocks]))
+    eigenvalues, eigenvectors = np.linalg.eigh(blocks[k])
     block = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
     amplitudes = table.coefficients[block] * eigenvectors[:, :1]
     d = doubled + 1
     phi = np.bincount(table.members[block].ravel(), amplitudes.ravel(), d * d)
-    return float(eigenvalues[0]), phi.reshape(d, d), [blocks[j] for j in candidates]
+    return float(eigenvalues[0]), phi.reshape(d, d)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -402,9 +392,10 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
     at the least normal float so the zero matrix keeps a positive tol, and
     g the SVD gap times s^2, the residual of phi against D plus g stays
     within tol, so an eigenvalue of B lies within tol of the value, and
-    every block of D shifted by value - tol + g has a Cholesky factor, so
-    none of B lies below value - tol.  The norms are taken overflow-safe, and a tol that
-    is not finite, which would pass any residual, raises
+    both Perron blocks of D shifted by value - tol + g have a Cholesky
+    factor, so, as the other six blocks lie above the lesser Perron minimum,
+    none of B lies below value - tol.  The norms are taken overflow-safe,
+    and a tol that is not finite, which would pass any residual, raises
     EigensolverFailure before the solve.
     """
     scale = _norm(cm.entries) * s.value * (s.value + 1.0)
@@ -417,8 +408,8 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
         if np.linalg.det(factor) < 0:
             factor[:, 2] = -factor[:, 2]
             sigma[2] = -sigma[2]
-    stacks = _diagonal_blocks(sigma, s.doubled)
-    lam, phi, candidates = _diagonal_ground_state(stacks, s.doubled, tol)
+    blocks = _diagonal_blocks(sigma, s.doubled)
+    lam, phi = _diagonal_ground_state(blocks, s.doubled)
     # an overflow gives an infinite or nan residual or gap, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _norm(_action(np.diag(sigma * _SIGNS), s.doubled, phi) - lam * phi)
@@ -428,7 +419,7 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
             f"eigenpair residual {residual:.3e} plus SVD gap {gap:.3e} exceeds tolerance"
         )
     floor = lam - tol + gap
-    if not all(_has_factor(block, floor) for block in candidates):
+    if not all(_has_factor(block, floor) for block in blocks):
         raise EigensolverFailure(f"an eigenvalue lies at or below {floor:.17g}, under the one found")
     return lam, phi, p, q, tol
 

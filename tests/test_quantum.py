@@ -31,7 +31,6 @@ from spinhv.quantum import (
     _SIGNS,
     _action,
     _diagonal_blocks,
-    _diagonal_ground_state,
     _has_factor,
     _norm,
     _singular_values,
@@ -233,15 +232,23 @@ class TestQuantumValue:
         assert np.sum(schmidt**2) == pytest.approx(1.0, abs=1e-12)
 
 
-def _second_eigenpair(stacks: list[np.ndarray], doubled: int, tol: float):
-    """A wrong ground state: the largest block's second eigenpair, every block a candidate."""
+_EIGH, _EIGVALSH = np.linalg.eigh, np.linalg.eigvalsh
+
+
+def _block_eigenpair(blocks: list[np.ndarray], doubled: int, k: int, n: int):
+    """Eigenpair n of block k, the vector as a (2s+1, 2s+1) amplitude matrix."""
     table = _symmetry_blocks(doubled)
-    blocks = [block for stack in stacks for block in stack]
-    eigenvalues, eigenvectors = np.linalg.eigh(blocks[-1])
-    amplitudes = table.coefficients[-len(blocks[-1]) :] * eigenvectors[:, 1:2]
+    eigenvalues, eigenvectors = _EIGH(blocks[k])
+    rows = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
+    amplitudes = table.coefficients[rows] * eigenvectors[:, n : n + 1]
     d = doubled + 1
-    phi = np.bincount(table.members[-len(blocks[-1]) :].ravel(), amplitudes.ravel(), d * d)
-    return float(eigenvalues[1]), phi.reshape(d, d), blocks
+    phi = np.bincount(table.members[rows].ravel(), amplitudes.ravel(), d * d)
+    return float(eigenvalues[n]), phi.reshape(d, d)
+
+
+def _second_eigenpair(blocks: list[np.ndarray], doubled: int):
+    """A wrong ground state: the second eigenpair of the last block."""
+    return _block_eigenpair(blocks, doubled, len(blocks) - 1, 1)
 
 
 class TestCertificateScale:
@@ -299,14 +306,55 @@ class TestOverflowSafeNorm:
         assert _norm(np.zeros(4)) == 0.0
 
 
+def _perron_labels(doubled: int) -> list[int]:
+    """4 p + row of _CHARACTERS for flip character (-1)^(2s) and swap character (-1)^p."""
+    return [4 * p + 2 * (doubled % 2) + p for p in (0, 1)]
+
+
+def _basis_labels(table, doubled: int) -> np.ndarray:
+    """The label 4 p + row of _CHARACTERS of each basis vector, read off its least index and signs."""
+    characters = np.sign(table.coefficients).astype(int)
+    chi = np.argmax(np.all(characters[:, None, :] == _CHARACTERS, axis=2), axis=1)
+    assert np.array_equal(_CHARACTERS[chi], characters)
+    return 4 * (np.add(*np.divmod(table.members[:, 0], doubled + 1)) % 2) + chi
+
+
+def _sector_dimension(doubled: int, label: int) -> int:
+    """(1/4) sum_g chi(g) |fixed points of g in parity p|, the character formula."""
+    d = doubled + 1
+    i, j = np.divmod(np.arange(d * d), d)
+    sector = (i + j) % 2 == label // 4
+    # fixed by 1, flip, swap and flip swap
+    fixed = [sector, (i == d - 1 - i) & (j == d - 1 - j), i == j, j == d - 1 - i]
+    total = int(_CHARACTERS[label % 4] @ [int(np.sum(sector & f)) for f in fixed])
+    assert total % 4 == 0
+    return total // 4
+
+
+def _dense_bases(table) -> list[np.ndarray]:
+    """The orthonormal basis of each built block as (2s+1)^2 x size columns."""
+    n = int(table.members.max()) + 1
+    basis = np.zeros((n, len(table.members)))
+    # repeated images of a basis vector add up
+    np.add.at(basis, (table.members, np.arange(len(table.members))[:, None]), table.coefficients)
+    ends = np.cumsum(table.sizes)
+    return [basis[:, end - size : end] for end, size in zip(ends, table.sizes)]
+
+
 class TestSymmetryBlocks:
-    """The split of D by parity, flip and swap, checked against the dense D."""
+    """D's two Perron blocks, checked against the dense D and the character formula."""
 
     @pytest.mark.parametrize("doubled", range(1, 41))
     def test_sizes_cover_the_space(self, doubled):
-        sizes = _symmetry_blocks(doubled).sizes
-        assert sizes.sum() == (doubled + 1) ** 2
-        assert len(sizes) <= 8
+        # each built block has every basis vector of its sector, and the eight
+        # sector dimensions from the character formula add up to the space
+        table = _symmetry_blocks(doubled)
+        assert len(table.sizes) == 2
+        assert sum(_sector_dimension(doubled, label) for label in range(8)) == (doubled + 1) ** 2
+        labels = _basis_labels(table, doubled)
+        ends = np.cumsum(table.sizes)
+        for end, size in zip(ends, table.sizes):
+            assert size == _sector_dimension(doubled, int(labels[end - 1])) > 0
 
     def test_largest_block_at_top_spin(self):
         assert _symmetry_blocks(40).sizes.max() == 231
@@ -314,23 +362,15 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize("doubled", [*range(1, 13), 20, 21])
     def test_blocks_reproduce_dense_operator(self, doubled):
         table = _symmetry_blocks(doubled)
-        n = (doubled + 1) ** 2
-        assert table.members.shape == table.coefficients.shape == (n, 4)
-        basis = np.zeros((n, n))
-        # repeated images of a basis vector add up
-        np.add.at(basis, (table.members, np.arange(n)[:, None]), table.coefficients)
-        np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-15)
-        sigma = np.array([1.3, -0.4, -2.1])
-        blocks = [block for stack in _diagonal_blocks(sigma, doubled) for block in stack]
-        assert [len(block) for block in blocks] == table.sizes.tolist()
-        diagonal = np.zeros((n, n))
-        start = 0
-        for block in blocks:
-            diagonal[start : start + len(block), start : start + len(block)] = block
-            start += len(block)
-        dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries
-        assert np.max(np.abs(dense.imag)) == 0.0
-        np.testing.assert_allclose(basis @ diagonal @ basis.T, dense.real, rtol=0, atol=1e-13)
+        assert table.members.shape == table.coefficients.shape == (table.sizes.sum(), 4)
+        for sigma in (np.array([1.3, -0.4, -2.1]), np.array([2.0, 0.7, -0.7])):
+            dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries
+            assert np.max(np.abs(dense.imag)) == 0.0
+            blocks = _diagonal_blocks(sigma, doubled)
+            assert [len(block) for block in blocks] == table.sizes.tolist()
+            for block, basis in zip(blocks, _dense_bases(table)):
+                np.testing.assert_allclose(basis.T @ basis, np.eye(len(block)), rtol=0, atol=1e-15)
+                np.testing.assert_allclose(block, basis.T @ dense.real @ basis, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("doubled", [*range(1, 13), 20, 21])
     def test_residual_kernel_applies_dense_operator(self, doubled):
@@ -346,23 +386,18 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize("doubled", [1, 2, 7, 8, 20, 21, 40])
     def test_fixed_block_order(self, doubled):
         table = _symmetry_blocks(doubled)
-        d = doubled + 1
         # basis vector k is v_r for r = members[k, 0], the least index of its orbit,
         # and its coefficient signs are the character of its block
         least = table.members[:, 0]
         assert np.array_equal(least, table.members.min(axis=1))
-        characters = np.sign(table.coefficients).astype(int)
-        chi = np.argmax(np.all(characters[:, None, :] == _CHARACTERS, axis=2), axis=1)
-        assert np.array_equal(_CHARACTERS[chi], characters)
-        labels = 4 * (np.add(*np.divmod(least, d)) % 2) + chi
-        starts = np.cumsum(table.sizes) - table.sizes
-        assert np.all(np.diff(table.sizes) >= 0)
-        for k, (start, size) in enumerate(zip(starts, table.sizes)):
-            block = slice(start, start + size)
-            assert np.all(labels[block] == labels[start])
-            assert np.all(np.diff(least[block]) > 0)
-            if k and table.sizes[k - 1] == size:
-                assert labels[starts[k - 1]] < labels[start]
+        labels = _basis_labels(table, doubled)
+        first, second = table.sizes.tolist()
+        assert first <= second
+        assert np.all(labels[:first] == labels[0]) and np.all(labels[first:] == labels[-1])
+        assert sorted([labels[0], labels[-1]]) == _perron_labels(doubled)
+        if first == second:
+            assert labels[0] < labels[-1]
+        assert np.all(np.diff(least[:first]) > 0) and np.all(np.diff(least[first:]) > 0)
         assert np.all(np.any(table.weights != 0, axis=0))
         assert np.all(np.diff(table.positions) > 0)
 
@@ -378,42 +413,23 @@ class TestSymmetryBlocks:
         # for a diagonal C the Bell operator is D itself
         sigma = np.array([1.3, -0.4, -2.1])
         value = quantum_bound(np.diag(sigma), SpinValue(6))[0]
-        stacks = _diagonal_blocks(sigma, 6)
+        blocks = _diagonal_blocks(sigma, 6)
         tol = EIG_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(sigma)) * spin_squared(6))
-        assert all(_has_factor(block, value - tol) for stack in stacks for block in stack)
-        assert not all(_has_factor(block, value + 1.0) for stack in stacks for block in stack)
-        # a stack has a factor exactly when each of its blocks has one
-        for floor in (value - tol, value + 1.0):
-            for stack in stacks:
-                assert _has_factor(stack, floor) == all(_has_factor(block, floor) for block in stack)
+        assert all(_has_factor(block, value - tol) for block in blocks)
+        assert not all(_has_factor(block, value + 1.0) for block in blocks)
 
     @pytest.mark.filterwarnings("error")
     def test_leastness_rejects_an_overflowed_shift(self):
         # 1e308 + 1e308 is inf, and cholesky would factor that without complaint
-        for blocks in (np.array([[1e308]]), np.array([[[1e308]]])):
-            assert not _has_factor(blocks, -1e308)
-            assert _has_factor(blocks, 0.0)
+        block = np.array([[1e308]])
+        assert not _has_factor(block, -1e308)
+        assert _has_factor(block, 0.0)
 
     def test_failed_certificate_raises(self, monkeypatch):
-        # no factor anywhere: every block is a candidate, and the certificate fails
+        # no factor for either block: the certificate fails
         monkeypatch.setattr(quantum_module, "_has_factor", lambda block, floor: False)
         with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
             quantum_value(EXAMPLE3, SpinValue(6))
-
-
-_EIGH, _EIGVALSH = np.linalg.eigh, np.linalg.eigvalsh
-
-
-def _all_block_rule(stacks: list[np.ndarray], doubled: int) -> tuple[float, np.ndarray, int]:
-    """The block choice without exclusion: eigvalsh of every block, the first argmin, eigh of it."""
-    table = _symmetry_blocks(doubled)
-    k = int(np.argmin(np.concatenate([_EIGVALSH(stack)[:, 0] for stack in stacks])))
-    eigenvalues, eigenvectors = _EIGH([block for stack in stacks for block in stack][k])
-    block = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
-    d = doubled + 1
-    amplitudes = table.coefficients[block] * eigenvectors[:, :1]
-    phi = np.bincount(table.members[block].ravel(), amplitudes.ravel(), d * d).reshape(d, d)
-    return float(eigenvalues[0]), phi, k
 
 
 def _choice_matrices(doubled: int, random_rotation) -> list[np.ndarray]:
@@ -422,66 +438,92 @@ def _choice_matrices(doubled: int, random_rotation) -> list[np.ndarray]:
     matrices += [rng.normal(size=(3, 3)) for _ in range(3)]
     matrices += [rng.integers(-3, 4, size=(3, 3)).astype(float) for _ in range(2)]
     matrices += [random_rotation(rng) for _ in range(2)]
-    # degenerate sigma: ties between blocks
-    matrices += [np.zeros((3, 3)), IDENTITY, -IDENTITY]
+    # degenerate sigma: levels shared between blocks
+    matrices += [np.zeros((3, 3)), IDENTITY, -IDENTITY, np.diag([1.0, 1.0, -1.0])]
     return matrices + [np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0, 0.0])]
 
 
+def _sigma_of(C: np.ndarray) -> np.ndarray:
+    """The singular values of C with the sign fix: a reflection in P or Q moves into sigma_3."""
+    p, sigma, qt = np.linalg.svd(np.asarray(C, dtype=float))
+    for factor in (p, qt):
+        if np.linalg.det(factor) < 0:
+            sigma[2] = -sigma[2]
+    return sigma
+
+
+def _assert_perron_minimum(C: np.ndarray, s: SpinValue, where: str) -> None:
+    """The lesser Perron-block minimum, and quantum_value, equal the dense Bell operator's minimum."""
+    reference = _EIGVALSH(bell_operator(C, s).entries)[0]
+    allowed = 1e-12 * max(1.0, abs(reference))
+    lesser = min(_EIGVALSH(block)[0] for block in _diagonal_blocks(_sigma_of(C), s.doubled))
+    assert abs(lesser - reference) <= allowed, where
+    assert abs(quantum_value(C, s)[0] - reference) <= allowed, where
+
+
 class TestBlockChoice:
-    """The ground block found by Cholesky exclusion against the rule that solved every block."""
+    """The Perron blocks hold D's least eigenvalue: the two-block rule against the dense operator."""
 
-    def test_matches_the_all_block_rule(self, monkeypatch, random_rotation):
-        built, eigh_sizes, eigvalsh_calls = [], [], []
-        blocks_of = quantum_module._diagonal_blocks
-
-        def recorded(*args):
-            built.append(blocks_of(*args))
-            return built[-1]
-
-        monkeypatch.setattr(quantum_module, "_diagonal_blocks", recorded)
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or _EIGH(a))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(1) or _EIGVALSH(a))
-        misses = several = 0
-        for doubled in [*range(1, 21), 25, 30, 40]:
-            s = SpinValue(doubled)
-            largest = int(_symmetry_blocks(doubled).sizes[-1])
+    def test_perron_blocks_hold_the_least_eigenvalue(self, random_rotation):
+        for doubled in range(1, 21):
             for index, C in enumerate(_choice_matrices(doubled, random_rotation)):
-                for log in (built, eigh_sizes, eigvalsh_calls):
-                    log.clear()
-                value, schmidt = quantum_value(C, s)
-                lam, phi, k = _all_block_rule(built[0], doubled)
-                last = sum(len(stack) for stack in built[0]) - 1
+                _assert_perron_minimum(C, SpinValue(doubled), f"2s = {doubled}, matrix {index}")
+
+    def test_perron_blocks_hold_the_least_eigenvalue_above_20(self, random_rotation):
+        for doubled in (25, 30, 40):
+            matrices = _choice_matrices(doubled, random_rotation)
+            # example3, a normal matrix, -I and diag(1, 1, 0)
+            for index in (2, 5, 12, 15):
+                _assert_perron_minimum(matrices[index], SpinValue(doubled), f"2s = {doubled}, matrix {index}")
+
+    def test_two_eigvalsh_and_one_eigh_per_solve(self, monkeypatch, random_rotation):
+        eigh_sizes, eigvalsh_sizes = [], []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or _EIGH(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_sizes.append(len(a)) or _EIGVALSH(a))
+        for doubled in (1, 2, 7, 20, 40):
+            sizes = _symmetry_blocks(doubled).sizes.tolist()
+            for index, C in enumerate(_choice_matrices(doubled, random_rotation)):
+                eigh_sizes.clear()
+                eigvalsh_sizes.clear()
+                value, schmidt = quantum_value(C, SpinValue(doubled))
                 where = f"2s = {doubled}, matrix {index}"
-                assert value == lam, where
-                assert np.array_equal(schmidt, _singular_values(phi)), where
-                # eigh on the largest block first, and again only for another ground block
-                assert eigh_sizes[0] == largest and len(eigh_sizes) == 1 + (k != last), where
-                # eigvalsh on the candidates when there is more than one
-                assert len(eigvalsh_calls) != 1, where
-                misses += k != last
-                several += len(eigvalsh_calls) >= 2
-                assert quantum_bound(C, s)[0] == lam, where
-        assert misses and several
+                assert eigvalsh_sizes == sizes, where
+                # the winner is the lesser minimum, the first on an exact tie
+                blocks = _diagonal_blocks(_sigma_of(C), doubled)
+                k = int(np.argmin([_EIGVALSH(block)[0] for block in blocks]))
+                assert eigh_sizes == [sizes[k]], where
+                lam, phi = _block_eigenpair(blocks, doubled, k, 0)
+                assert value == lam and np.array_equal(schmidt, _singular_values(phi)), where
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowed_shift_makes_every_block_a_candidate(self):
-        # D's entries reach about 1e308, and every block has a diagonal entry
-        # that the shift to lam0 + tol takes past the float limit, so none is
-        # excluded; the certificate's shift overflows too, and the solve
-        # fails as it did when every block was certified
-        doubled, s = 40, SpinValue(40)
+    def test_overflowed_shift_fails_the_certificate(self):
+        # D's entries reach about 1e308, and the certificate's shift of each
+        # Perron block to value - tol + g takes a diagonal entry past the
+        # float limit, so no factor is found and the solve fails
+        s = SpinValue(40)
         C = 2.4e305 * IDENTITY
-        sigma = np.linalg.svd(C, compute_uv=False)
-        stacks = _diagonal_blocks(sigma, doubled)
         tol = EIG_RESIDUAL_TOL * _norm(C) * s.value * (s.value + 1.0)
         assert math.isfinite(tol)
-        lam, phi, candidates = _diagonal_ground_state(stacks, doubled, tol)
-        assert len(candidates) == sum(len(stack) for stack in stacks) == 8
-        reference, reference_phi, _ = _all_block_rule(stacks, doubled)
-        assert lam == reference
-        assert np.array_equal(phi, reference_phi)
         with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
             quantum_value(C, s)
+
+
+class TestClosedForms:
+    """C = I gives D = S_A . S_B with beta_q = -s(s+1); C = -I gives -s^2, a (4s+1)-fold level."""
+
+    @staticmethod
+    def _assert_value(C: np.ndarray, exact) -> None:
+        for doubled in range(1, 41):
+            s = SpinValue(doubled)
+            tol = EIG_RESIDUAL_TOL * float(np.linalg.norm(C)) * s.value * (s.value + 1.0)
+            assert abs(quantum_value(C, s)[0] - exact(s.value)) <= tol, f"2s = {doubled}"
+
+    def test_identity_gives_minus_s_s_plus_1(self):
+        self._assert_value(IDENTITY, lambda s: -s * (s + 1.0))
+
+    def test_minus_identity_gives_minus_s_squared(self):
+        # the level is shared by several blocks, so both the tie rule and the theorem are used
+        self._assert_value(-IDENTITY, lambda s: -s * s)
 
 
 class TestSinglet:
