@@ -261,6 +261,11 @@ def cmd_membership(args) -> tuple[dict, int]:
         results["separating_functional"] = [float(v) for v in result.functional]
         results["functional_bound"] = result.functional_bound
         results["functional_value_at_point"] = result.functional_value
+    results["diagnostics"] = {
+        "lp_columns": len(result.vertices),
+        "lp_pivots": result.lp.pivots,
+        "lp_degenerate_pivots": result.lp.degenerate_pivots,
+    }
 
     report = _report(
         "membership",

@@ -21,7 +21,7 @@ import numpy as np
 from .assignments import extreme_assignments
 from .errors import LpNumericalFailure
 from .number_theory import SpinValue
-from .simplex import FEAS_TOL, solve_equality_lp
+from .simplex import FEAS_TOL, LpOutcome, solve_equality_lp
 
 # the simplex's phase-1 threshold, reported as the membership tolerance
 MEMBERSHIP_TOL = FEAS_TOL
@@ -55,10 +55,12 @@ class MembershipResult:
     reconstruction_residual (max-norm).
     Outside: functional f and bound satisfy f(v) >= bound on every vertex
     while f(point) = value < bound.
+    lp is the simplex run that decided it, with its pivot counts.
     """
 
     inside: bool
     vertices: np.ndarray
+    lp: LpOutcome
     weights: np.ndarray | None = None
     reconstruction_residual: float | None = None
     functional: np.ndarray | None = None
@@ -113,7 +115,11 @@ def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> Memb
                 f"inside verdict but reconstruction residual {residual:.3e}"
             )
         return MembershipResult(
-            inside=True, vertices=vertices, weights=weights, reconstruction_residual=residual
+            inside=True,
+            vertices=vertices,
+            lp=outcome,
+            weights=weights,
+            reconstruction_residual=residual,
         )
 
     y = outcome.farkas
@@ -130,6 +136,7 @@ def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> Memb
     return MembershipResult(
         inside=False,
         vertices=vertices,
+        lp=outcome,
         functional=functional,
         functional_bound=bound,
         functional_value=value,

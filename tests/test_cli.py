@@ -21,7 +21,7 @@ from spinhv.assignments import conserving_target_doubled
 from spinhv.bounds import WITNESS_TOL
 from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, main
 from spinhv.matrices import EXAMPLE1, EXAMPLE3
-from spinhv.polytope import MEMBERSHIP_TOL
+from spinhv.polytope import MEMBERSHIP_TOL, vertex_array_quadrupled
 from spinhv.quantum import EIG_RESIDUAL_TOL
 
 
@@ -352,6 +352,50 @@ class TestMembershipCommand:
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "membership", "--point", "/nonexistent", "--spin-doubled", "2")
         assert code == 2
+
+    def test_origin_reports_lp_effort(self, capsys, tmp_path):
+        # the pivot counts of each kernel are pinned in tests/test_simplex.py
+        path = tmp_path / "zero.txt"
+        path.write_text("0 0 0 0 0 0 0 0 0\n")
+        code, report = run_cli(
+            capsys, "membership", "--point", str(path), "--spin-doubled", "2", "--constrained"
+        )
+        assert code == 0
+        results = report["results"]
+        assert results["inside"] is True
+        assert list(results)[-1] == "diagnostics"
+        assert results["diagnostics"] == {"lp_columns": 72, "lp_pivots": 43, "lp_degenerate_pivots": 17}
+
+    def test_outside_verdict_reports_lp_effort(self, capsys, quantum_point_file):
+        code, report = run_cli(
+            capsys, "membership", "--point", str(quantum_point_file),
+            "--spin-doubled", "2", "--constrained",
+        )
+        assert code == 0
+        diagnostics = report["results"]["diagnostics"]
+        assert diagnostics["lp_columns"] == 72
+        assert diagnostics["lp_pivots"] > 0
+        assert 0 <= diagnostics["lp_degenerate_pivots"] <= diagnostics["lp_pivots"]
+
+    @pytest.mark.parametrize(
+        ("doubled", "near_vertex", "degenerate"), [(18, False, 2927), (5, True, 0)], ids=["origin", "near-vertex"]
+    )
+    def test_stall_exits_4_naming_its_effort(self, capsys, tmp_path, doubled, near_vertex, degenerate):
+        # the known stalls (ROADMAP item 2) exit 4 after the full iteration limit
+        point = np.zeros(9)
+        if near_vertex:
+            vertices = vertex_array_quadrupled(SpinValue(doubled), True) / 4.0
+            point = (1 - 1e-9) * vertices[588] + 1e-9 * vertices[867]
+        path = tmp_path / "p.txt"
+        path.write_text(" ".join(repr(float(v)) for v in point) + "\n")
+        code = main(["membership", "--point", str(path), "--spin-doubled", str(doubled), "--constrained"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: simplex iteration limit reached "
+            f"after 20000 pivots ({degenerate} degenerate)\n"
+        )
 
     @pytest.mark.parametrize("constrained", [(), ("--constrained",)], ids=["standard", "conserving"])
     def test_spin_cap(self, capsys, tmp_path, constrained):

@@ -7,6 +7,7 @@ from spinhv import (
     CorrelationPoint,
     HermitianOperator,
     InfeasibleSpin,
+    LpNumericalFailure,
     SpinValue,
     classical_bound,
     enumerate_unconstrained,
@@ -155,6 +156,20 @@ class TestMembership:
         too_big = CorrelationPoint(np.full((3, 3), 4.0))
         with pytest.raises(ValueError):
             membership(too_big, SpinValue(2), constrained=False)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=LpNumericalFailure,
+        reason="the phase-1 simplex stalls at its iteration limit near a vertex; "
+        "ROADMAP item 2 (membership as a gauge LP) must answer it",
+    )
+    def test_point_near_a_vertex_inside(self):
+        s = SpinValue(5)
+        vertices = vertex_rows(s, constrained=True)
+        point = (1 - 1e-9) * vertices[588] + 1e-9 * vertices[867]
+        result = membership(as_point(point), s, constrained=True)
+        assert result.inside
+        assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
 
 
 class TestCornerPolytope:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from spinhv import simplex
+from spinhv.errors import LpNumericalFailure
+from spinhv.number_theory import SpinValue
+from spinhv.polytope import vertex_array_quadrupled
 from spinhv.simplex import solve_equality_lp
 
 
@@ -80,3 +84,119 @@ class TestRandomized:
             assert not out.feasible
             assert np.all(out.farkas @ A <= 1e-8)
             assert out.farkas @ b > 1e-8
+
+
+def _row_loop_pivot(tableau, basis, row, col):
+    """Reference pivot: the row-by-row elimination the rank-1 update replaced."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _list_iterate(tableau, basis, trail):
+    """Reference loop: Bland's rule over index lists, the basis after each pivot in trail."""
+    m = tableau.shape[0] - 1
+    for _ in range(simplex.MAX_ITER):
+        obj = tableau[m, :-1]
+        entering = np.flatnonzero(obj < -simplex.PIVOT_TOL)
+        if entering.size == 0:
+            return
+        col = int(entering[0])
+        column = tableau[:m, col]
+        rows = np.flatnonzero(column > simplex.PIVOT_TOL)
+        if rows.size == 0:
+            raise LpNumericalFailure("simplex pivot column is unbounded")
+        ratios = tableau[rows, -1] / column[rows]
+        tied = rows[ratios <= ratios.min() + simplex.RATIO_TIE_TOL]
+        row = int(tied[np.argmin([basis[i] for i in tied])])
+        _row_loop_pivot(tableau, basis, row, col)
+        trail.append(list(basis))
+    raise LpNumericalFailure("simplex iteration limit reached")
+
+
+def solve_against_reference(monkeypatch, A, b):
+    """solve_equality_lp, with the reference run on a copy of its tableau.
+
+    Both kernels must leave the same basis after every pivot and equal
+    final tableaux, and stall together.  Returns the outcome.
+    """
+    pivot, iterate = simplex._pivot, simplex._iterate
+    trail, reference_trail = [], []
+
+    def recording_pivot(tableau, basis, row, col):
+        pivot(tableau, basis, row, col)
+        trail.append(basis.tolist())
+
+    def checked_iterate(tableau, basis):
+        reference, reference_basis = tableau.copy(), basis.tolist()
+        stalls = []
+        try:
+            _list_iterate(reference, reference_basis, reference_trail)
+        except LpNumericalFailure as exc:
+            stalls.append(exc)
+        try:
+            counts = iterate(tableau, basis)
+        except LpNumericalFailure as exc:
+            stalls.append(exc)
+        assert trail == reference_trail
+        assert np.array_equal(tableau, reference)
+        assert len(stalls) in (0, 2), stalls
+        if stalls:
+            raise stalls[-1]
+        return counts
+
+    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    monkeypatch.setattr(simplex, "_iterate", checked_iterate)
+    outcome = solve_equality_lp(A, b)
+    assert outcome.pivots == len(trail)
+    return outcome
+
+
+def polytope_system(doubled: int, constrained: bool, point: np.ndarray):
+    vertices = vertex_array_quadrupled(SpinValue(doubled), constrained) / 4.0
+    return convex_hull_system(vertices, point)
+
+
+class TestReferenceKernel:
+    """The array kernel takes the row loop's pivots and reaches its tableaux."""
+
+    @pytest.mark.parametrize(
+        "point", [[0.2, 0.3], [1.0, 0.0], [0.8, 0.8], [-0.1, 0.5]], ids=["inside", "vertex", "outside", "left"]
+    )
+    def test_triangle(self, monkeypatch, point):
+        A, b = convex_hull_system(TestFeasibility.TRIANGLE, np.array(point))
+        solve_against_reference(monkeypatch, A, b)
+
+    def test_randomized(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        vertices = rng.normal(size=(40, 6))
+        for _ in range(10):
+            mixture = rng.dirichlet(np.ones(40)) @ vertices
+            far = vertices.max(axis=0) + rng.uniform(1.0, 3.0, size=6)
+            for point in (mixture, far):
+                solve_against_reference(monkeypatch, *convex_hull_system(vertices, point))
+
+    @pytest.mark.parametrize(
+        ("doubled", "constrained", "pivots", "degenerate"),
+        [(2, True, 43, 17), (4, True, 304, 189), (4, False, 20, 19)],
+    )
+    def test_origin(self, monkeypatch, doubled, constrained, pivots, degenerate):
+        A, b = polytope_system(doubled, constrained, np.zeros(9))
+        outcome = solve_against_reference(monkeypatch, A, b)
+        assert outcome.feasible
+        assert (outcome.pivots, outcome.degenerate_pivots) == (pivots, degenerate)
+
+    def test_outside_point(self, monkeypatch):
+        A, b = polytope_system(2, True, np.ones(9))
+        outcome = solve_against_reference(monkeypatch, A, b)
+        assert not outcome.feasible
+        assert (outcome.pivots, outcome.degenerate_pivots) == (4, 2)
+
+    def test_iteration_limit(self, monkeypatch):
+        # the constrained origin at 2s = 18 stalls; 300 pivots show both kernels stall alike
+        monkeypatch.setattr(simplex, "MAX_ITER", 300)
+        A, b = polytope_system(18, True, np.zeros(9))
+        with pytest.raises(LpNumericalFailure, match=r"after 300 pivots \(300 degenerate\)"):
+            solve_against_reference(monkeypatch, A, b)
