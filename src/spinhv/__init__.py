@@ -23,9 +23,11 @@ from .errors import (
     DimensionMismatch,
     EigensolverFailure,
     InfeasibleSpin,
+    InvalidInput,
     LpNumericalFailure,
     NonFiniteMatrix,
     NotARotation,
+    NumericalFailure,
     SpinHvError,
     UnsupportedSpin,
 )
@@ -68,10 +70,12 @@ __all__ = [
     "HermitianOperator",
     "InclusionReport",
     "InfeasibleSpin",
+    "InvalidInput",
     "LpNumericalFailure",
     "MembershipResult",
     "NonFiniteMatrix",
     "NotARotation",
+    "NumericalFailure",
     "SpinHvError",
     "SpinValue",
     "StateVector",

@@ -21,11 +21,6 @@ from .number_theory import SpinValue
 _CORNER_SIGNS = np.array(list(product((-1, 1), repeat=3)), dtype=np.int64)
 
 
-def _require_positive(s: SpinValue) -> None:
-    if s.doubled < 1:
-        raise ValueError("spin magnitude must be positive")
-
-
 def conserving_target_doubled(s: SpinValue) -> int:
     """s(s+1) expressed in squared-doubled units: 2s * (2s + 2)."""
     return s.doubled * (s.doubled + 2)
@@ -40,7 +35,6 @@ def enumerate_unconstrained(s: SpinValue) -> np.ndarray:
 
     Rows are in ascending lexicographic order.
     """
-    _require_positive(s)
     spectrum = _spectrum(s)
     return np.stack(np.meshgrid(spectrum, spectrum, spectrum, indexing="ij"), axis=-1).reshape(-1, 3)
 
@@ -56,7 +50,6 @@ def enumerate_constrained(s: SpinValue) -> np.ndarray:
     Rows come in ascending lexicographic order, like the grid's.
     Empty exactly when no magnitude-conserving model exists for this s.
     """
-    _require_positive(s)
     spectrum = _spectrum(s)
     x = np.repeat(spectrum, len(spectrum))
     y = np.tile(spectrum, len(spectrum))
@@ -78,7 +71,6 @@ def extreme_assignments(s: SpinValue, constrained: bool) -> np.ndarray:
     for bilinear minima and correlation hulls because a . C . b and
     a (x) b are affine in each component of a and of b.
     """
-    _require_positive(s)
     if not constrained:
         return s.doubled * _CORNER_SIGNS
     rows = _conserving_rows(s.doubled)
@@ -101,7 +93,6 @@ def feasible_by_enumeration(s: SpinValue) -> bool:
     square root for the third; deliberately free of the residue tests in
     number_theory so the two routes stay independent cross-checks.
     """
-    _require_positive(s)
     target = conserving_target_doubled(s)
     parity = s.doubled % 2
     dx = parity
@@ -128,7 +119,6 @@ def squared_magnitude_classes(s: SpinValue) -> dict[int, int]:
     itself (weight 1), any other for itself and its negative (weight 2).
     No sort and no (n, 3) rows.
     """
-    _require_positive(s)
     half = np.arange(s.doubled % 2, s.doubled + 1, 2, dtype=np.int64)
     squares = np.square(half)
     weights = np.where(half == 0, 1.0, 2.0)

@@ -142,6 +142,15 @@ def _check_tol(cm: CoefficientMatrix, s: SpinValue, beta: float) -> float:
     return WITNESS_TOL * max(abs(beta), min(1.0, magnitude))
 
 
+def violates(C, s: SpinValue, beta_q: float, beta: float) -> bool:
+    """Whether beta_q lies below the classical bound beta by more than _check_tol.
+
+    So a value equal to beta in exact arithmetic is no violation, whichever
+    way the last bit rounds, and a tiny matrix still shows its violation.
+    """
+    return bool(beta_q < beta - _check_tol(as_coefficient_matrix(C), s, beta))
+
+
 def _witness_reproduces(cm: CoefficientMatrix, s: SpinValue, pair: np.ndarray, beta: float) -> bool:
     a, b = pair / 2.0
     return abs(float(a @ cm.entries @ b) - beta) <= _check_tol(cm, s, beta)

@@ -1,7 +1,7 @@
 """Command-line interface emitting machine-readable JSON run reports.
 
-Exit codes: 0 success, 2 invalid input, 3 built-in target mismatch,
-4 internal numerical failure.
+Exit codes: 0 success, 2 invalid input (an InvalidInput error), 3 built-in
+target mismatch, 4 internal numerical failure (a NumericalFailure error).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .assignments import (
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from .bounds import WITNESS_TOL, CoefficientMatrix, _check_tol, bounds_report
-from .errors import BoundCheckFailure, EigensolverFailure, InfeasibleSpin, LpNumericalFailure
+from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report, violates
+from .errors import InvalidInput, NumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
 from .polytope import MEMBERSHIP_TOL, CorrelationPoint, membership
@@ -47,10 +47,6 @@ TABLE1_CLASSICAL_TOL = 1e-9
 TABLE1_QUANTUM_TOL = 1e-8
 
 
-class CliInputError(Exception):
-    pass
-
-
 def _report(command: str, inputs: dict, tolerances: dict, results: dict) -> dict:
     return {
         "command": command,
@@ -70,19 +66,19 @@ def _parse_numbers(text: str, path: str) -> list[float]:
             try:
                 values.append(float(Fraction(token)))
             except (ValueError, ZeroDivisionError, OverflowError):
-                raise CliInputError(f"{path}: cannot parse {token!r} as a float") from None
+                raise InvalidInput(f"{path}: cannot parse {token!r} as a float") from None
     return values
 
 
 def _read_nine(source: str, what: str) -> np.ndarray:
-    """The 3x3 matrix of the 9 numbers in a text file, or CliInputError."""
+    """The 3x3 matrix of the 9 numbers in a text file, or InvalidInput."""
     try:
         text = Path(source).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliInputError(f"{source}: cannot read {what} file: {exc}") from None
+        raise InvalidInput(f"{source}: cannot read {what} file: {exc}") from None
     values = _parse_numbers(text, source)
     if len(values) != 9:
-        raise CliInputError(f"{source}: expected 9 {what} entries, found {len(values)}")
+        raise InvalidInput(f"{source}: expected 9 {what} entries, found {len(values)}")
     return np.array(values).reshape(3, 3)
 
 
@@ -92,7 +88,7 @@ def _load_matrix(source: str) -> tuple[np.ndarray, dict]:
     elif Path(source).is_file():
         matrix = _read_nine(source, "matrix")
     else:
-        raise CliInputError(
+        raise InvalidInput(
             f"matrix {source!r} is neither a built-in name ({', '.join(sorted(NAMED_MATRICES))}) nor a file"
         )
     return matrix, {"matrix": source, "entries": _listify(matrix)}
@@ -102,9 +98,9 @@ def _listify(array: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.atleast_2d(array)]
 
 
-def _spin(doubled: int, low: int, high: int, what: str) -> SpinValue:
-    if not low <= doubled <= high:
-        raise CliInputError(f"{what} must satisfy {low} <= spin-doubled <= {high}, got {doubled}")
+def _spin(doubled: int, high: int, what: str) -> SpinValue:
+    if not 1 <= doubled <= high:
+        raise InvalidInput(f"{what} must satisfy 1 <= spin-doubled <= {high}, got {doubled}")
     return SpinValue(doubled)
 
 
@@ -114,13 +110,6 @@ def _witness_payload(pair) -> dict | None:
     a, b = pair.tolist()
     a_value, b_value = (pair / 2.0).tolist()
     return {"a_doubled": a, "b_doubled": b, "a": a_value, "b": b_value}
-
-
-def _violates(cm: CoefficientMatrix, s: SpinValue, beta_q: float, beta: float) -> bool:
-    # a quantum value equal to the classical bound in exact arithmetic is no
-    # violation, whichever way the last bit rounds; the window shrinks with
-    # the matrix, so a tiny matrix still shows its violation
-    return bool(beta_q < beta - _check_tol(cm, s, beta))
 
 
 def _quarter(key: int, s: SpinValue) -> str:
@@ -133,7 +122,7 @@ def _quarter(key: int, s: SpinValue) -> str:
 
 
 def cmd_feasibility(args) -> tuple[dict, int]:
-    s = _spin(args.spin_doubled, 1, MAX_FORMULA_DOUBLED, "feasibility")
+    s = _spin(args.spin_doubled, MAX_FORMULA_DOUBLED, "feasibility")
     formula = magnitude_feasible(s)
     oracle = feasible_by_enumeration(s) if s.doubled <= MAX_ORACLE_DOUBLED else None
     agree = None if oracle is None else formula == oracle
@@ -163,7 +152,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
 
 def cmd_bounds(args) -> tuple[dict, int]:
     matrix, inputs = _load_matrix(args.matrix)
-    s = _spin(args.spin_doubled, 1, MAX_SPIN_DOUBLED, "bounds")
+    s = _spin(args.spin_doubled, MAX_SPIN_DOUBLED, "bounds")
     inputs["spin_doubled"] = s.doubled
 
     cm = CoefficientMatrix(matrix)
@@ -179,16 +168,16 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "witness_unconstrained": _witness_payload(rep.witness_unconstrained),
         "optimal_state_schmidt": [float(v) for v in schmidt],
         "violates_constrained": (
-            None if rep.beta_constrained is None else _violates(cm, s, beta_q, rep.beta_constrained)
+            None if rep.beta_constrained is None else violates(cm, s, beta_q, rep.beta_constrained)
         ),
-        "violates_unconstrained": _violates(cm, s, beta_q, rep.beta_unconstrained),
+        "violates_unconstrained": violates(cm, s, beta_q, rep.beta_unconstrained),
     }
     report = _report("bounds", inputs, {"witness_check": WITNESS_TOL}, results)
     return report, 0
 
 
 def cmd_table1(args) -> tuple[dict, int]:
-    max_s = _spin(args.max_spin_doubled, 1, MAX_SPIN_DOUBLED, "table1")
+    max_s = _spin(args.max_spin_doubled, MAX_SPIN_DOUBLED, "table1")
 
     # one wrapper, so its checks and cached is_rotation serve every spin
     rotation = CoefficientMatrix(ROTATION_Z45)
@@ -237,13 +226,9 @@ def cmd_table1(args) -> tuple[dict, int]:
 
 def cmd_membership(args) -> tuple[dict, int]:
     point_entries = _read_nine(args.point, "correlator")
-    s = _spin(args.spin_doubled, 1, MAX_SPIN_DOUBLED, "membership")
+    s = _spin(args.spin_doubled, MAX_SPIN_DOUBLED, "membership")
 
-    try:
-        point = CorrelationPoint(point_entries)
-        result = membership(point, s, constrained=args.constrained)
-    except (InfeasibleSpin, ValueError) as exc:
-        raise CliInputError(str(exc)) from exc
+    result = membership(CorrelationPoint(point_entries), s, constrained=args.constrained)
 
     results: dict = {"inside": result.inside}
     if result.inside:
@@ -321,10 +306,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
-    except CliInputError as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BoundCheckFailure, EigensolverFailure, LpNumericalFailure) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     # the report on one line in one write: without indent, json.dumps takes

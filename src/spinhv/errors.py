@@ -1,37 +1,45 @@
-"""Exception types shared across the package."""
+"""Exception types in two families: the CLI exits 2 on InvalidInput, 4 on NumericalFailure."""
 
 
 class SpinHvError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InfeasibleSpin(SpinHvError):
+class InvalidInput(SpinHvError, ValueError):
+    """An input the computation does not accept; the CLI exits 2."""
+
+
+class InfeasibleSpin(InvalidInput):
     """A computation needs magnitude-conserving assignments but none exist."""
 
 
-class NonFiniteMatrix(SpinHvError):
-    """A coefficient matrix contains NaN or infinite entries."""
+class NonFiniteMatrix(InvalidInput):
+    """A coefficient matrix or correlation point contains NaN or infinite entries."""
 
 
-class UnsupportedSpin(SpinHvError):
-    """A spin magnitude lies outside the supported operator range."""
+class UnsupportedSpin(InvalidInput):
+    """A spin magnitude is not positive, or lies outside the supported operator range."""
 
 
-class EigensolverFailure(SpinHvError):
-    """An eigenvalue or unitarity residual exceeded its tolerance."""
-
-
-class DimensionMismatch(SpinHvError):
+class DimensionMismatch(InvalidInput):
     """Operator and state dimensions disagree."""
 
 
-class NotARotation(SpinHvError):
+class NotARotation(InvalidInput):
     """A coefficient matrix was required to be a proper rotation but is not."""
 
 
-class LpNumericalFailure(SpinHvError):
+class NumericalFailure(SpinHvError):
+    """A self-check failed on accepted input; the CLI exits 4."""
+
+
+class EigensolverFailure(NumericalFailure):
+    """An eigenvalue or unitarity residual exceeded its tolerance."""
+
+
+class LpNumericalFailure(NumericalFailure):
     """The simplex could not certify feasibility or infeasibility at tolerance."""
 
 
-class BoundCheckFailure(SpinHvError):
+class BoundCheckFailure(NumericalFailure):
     """A classical bound failed its witness or ordering check, or its scan overflowed."""

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import UnsupportedSpin
+
 
 @dataclass(frozen=True, order=True)
 class SpinValue:
-    """A spin magnitude or projection stored as twice its value.
+    """A positive spin magnitude stored as twice its value.
 
-    Doubling keeps half-integers exact: s = 3/2 is SpinValue(3).
+    Doubling keeps half-integers exact: s = 3/2 is SpinValue(3).  A value
+    below 1 raises UnsupportedSpin.
     """
 
     doubled: int
@@ -25,6 +28,8 @@ class SpinValue:
     def __post_init__(self) -> None:
         if not isinstance(self.doubled, int):
             raise TypeError(f"doubled must be an int, got {type(self.doubled).__name__}")
+        if self.doubled < 1:
+            raise UnsupportedSpin(f"spin magnitude must be positive, got 2s = {self.doubled}")
 
     @property
     def value(self) -> float:
@@ -55,8 +60,6 @@ def magnitude_feasible(s: SpinValue) -> bool:
     Half-integer s: solvable exactly when 2s = 1 (mod 4).  Integer s = n:
     Legendre's three-square theorem applied to n(n+1).
     """
-    if s.doubled < 1:
-        raise ValueError("spin magnitude must be positive")
     if s.doubled % 2 != 0:
         return s.doubled % 4 == 1
     n = s.doubled // 2

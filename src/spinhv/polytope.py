@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignments import extreme_assignments
-from .errors import LpNumericalFailure
+from .errors import InvalidInput, LpNumericalFailure, NonFiniteMatrix
 from .number_theory import SpinValue
 from .simplex import FEAS_TOL, LpOutcome, solve_equality_lp
 
@@ -37,7 +37,7 @@ class CorrelationPoint:
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(m)):
-            raise ValueError("correlation point has non-finite entries")
+            raise NonFiniteMatrix("correlation point has non-finite entries")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -94,13 +94,14 @@ def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
 def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> MembershipResult:
     """Whether the point is a convex combination of the polytope's vertices.
 
-    Raises LpNumericalFailure when neither the weights nor the separating
-    functional can be certified at tolerance.
+    Raises InvalidInput when a correlator exceeds s^2 or no conserving
+    assignment exists, and LpNumericalFailure when neither the weights nor
+    the separating functional can be certified at tolerance.
     """
     s_val = s.doubled / 2.0
     target = point.flat()
     if float(np.max(np.abs(target))) > s_val * s_val + 1e-9:
-        raise ValueError(f"correlators exceed s^2 = {s_val * s_val} for s = {s}")
+        raise InvalidInput(f"correlators exceed s^2 = {s_val * s_val} for s = {s}")
     vertices = vertex_array_quadrupled(s, constrained) / 4.0  # (n, 9)
     n = len(vertices)
     A = np.vstack([vertices.T, np.ones((1, n))])

@@ -144,7 +144,7 @@ class StateVector:
 
 
 def _check_spin(s: SpinValue) -> None:
-    if not 1 <= s.doubled <= MAX_SPIN_DOUBLED:
+    if s.doubled > MAX_SPIN_DOUBLED:
         raise UnsupportedSpin(
             f"spin doubled value {s.doubled} outside supported range 1..{MAX_SPIN_DOUBLED}"
         )

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import warnings
@@ -8,6 +9,10 @@ import pytest
 
 from spinhv import (
     HermitianOperator,
+    InvalidInput,
+    LpNumericalFailure,
+    NumericalFailure,
+    SpinHvError,
     SpinValue,
     bell_operator,
     enumerate_constrained,
@@ -17,6 +22,7 @@ from spinhv import (
     spin_operators,
     squared_magnitude_classes,
 )
+from spinhv import errors
 from spinhv.assignments import conserving_target_doubled
 from spinhv.bounds import WITNESS_TOL
 from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, main
@@ -349,6 +355,14 @@ class TestMembershipCommand:
         )
         assert code == 2
 
+    def test_point_beyond_s_squared_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("2 0 0 0 0 0 0 0 0\n")
+        code = main(["membership", "--point", str(path), "--spin-doubled", "2", "--constrained"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", "error: correlators exceed s^2 = 1.0 for s = 1\n")
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "membership", "--point", "/nonexistent", "--spin-doubled", "2")
         assert code == 2
@@ -380,8 +394,24 @@ class TestMembershipCommand:
     @pytest.mark.parametrize(
         ("doubled", "near_vertex", "degenerate"), [(18, False, 2927), (5, True, 0)], ids=["origin", "near-vertex"]
     )
-    def test_stall_exits_4_naming_its_effort(self, capsys, tmp_path, doubled, near_vertex, degenerate):
-        # the known stalls (ROADMAP item 2) exit 4 after the full iteration limit
+    def test_stall_exits_4_naming_its_effort(
+        self, capsys, monkeypatch, tmp_path, doubled, near_vertex, degenerate
+    ):
+        # the known stalls (ROADMAP item 2) exit 4 after the full iteration
+        # limit, through main's NumericalFailure clause
+        import spinhv.cli as cli_module
+
+        raised = []
+        solve = cli_module.membership
+
+        def record(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(cli_module, "membership", record)
         point = np.zeros(9)
         if near_vertex:
             vertices = vertex_array_quadrupled(SpinValue(doubled), True) / 4.0
@@ -391,6 +421,8 @@ class TestMembershipCommand:
         code = main(["membership", "--point", str(path), "--spin-doubled", str(doubled), "--constrained"])
         captured = capsys.readouterr()
         assert code == 4
+        assert [type(exc) for exc in raised] == [LpNumericalFailure]
+        assert isinstance(raised[0], NumericalFailure)
         assert captured.out == ""
         assert captured.err == (
             "numerical failure: simplex iteration limit reached "
@@ -461,6 +493,40 @@ class TestBoundsCertificate:
         code, report = run_cli(capsys, "bounds", "--matrix", "example1", "--spin-doubled", "2")
         assert code == 0
         assert report["results"]["beta_quantum"] == reference["results"]["beta_quantum"]
+
+
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, SpinHvError)
+]
+# each family's exit code and stderr prefix
+FAMILIES = {InvalidInput: (2, "error: "), NumericalFailure: (4, "numerical failure: ")}
+
+
+class TestExitCodes:
+    """main maps each error to its family's exit code, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "cls", [cls for cls in ERROR_CLASSES if cls is not SpinHvError], ids=lambda cls: cls.__name__
+    )
+    def test_error_exits_with_its_family_code(self, capsys, monkeypatch, cls):
+        import spinhv.cli as cli_module
+
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli_module, "cmd_feasibility", fail)
+        code = main(["feasibility", "--spin-doubled", "2"])
+        captured = capsys.readouterr()
+        (family_code, prefix), = (FAMILIES[family] for family in FAMILIES if issubclass(cls, family))
+        assert code == family_code
+        assert (captured.out, captured.err) == ("", f"{prefix}boom\n")
+
+    def test_every_error_belongs_to_exactly_one_family(self):
+        bases = {SpinHvError, *FAMILIES}
+        leaves = [cls for cls in ERROR_CLASSES if cls not in bases]
+        assert len(leaves) == 8
+        for cls in leaves:
+            assert sum(issubclass(cls, family) for family in FAMILIES) == 1, cls.__name__
 
 
 class TestReportEncoding:

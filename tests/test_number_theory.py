@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spinhv import (
     SpinValue,
+    UnsupportedSpin,
     feasible_by_enumeration,
     is_sum_of_three_squares,
     magnitude_feasible,
@@ -41,6 +42,11 @@ class TestSpinValue:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             SpinValue(1.5)
+
+    def test_rejects_nonpositive(self):
+        for doubled in (0, -2):
+            with pytest.raises(UnsupportedSpin):
+                SpinValue(doubled)
 
 
 class TestThreeSquares:
