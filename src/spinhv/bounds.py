@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .assignments import enumerate_unconstrained, extreme_assignments
-from .errors import BoundCheckFailure, InfeasibleSpin, NonFiniteMatrix
+from .errors import BoundCheckFailure, DimensionMismatch, InfeasibleSpin, NonFiniteMatrix
 from .number_theory import SpinValue
 
 # resolution at which minima are considered tied, relative to the largest |entry| of the pair table
@@ -41,7 +41,7 @@ class CoefficientMatrix:
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+            raise DimensionMismatch(f"expected a 3x3 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NonFiniteMatrix("coefficient matrix has non-finite entries")
         m = m.copy()
@@ -92,9 +92,9 @@ def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
     """
     best = float(values.min())
     peak = max(float(values.max()), -best)
-    ii, jj = np.nonzero(values <= best + TIE_TOL * peak)
-    k = int(np.lexsort((ii, jj))[0])
-    return best, int(ii[k]), int(jj[k])
+    # the first entry within the window in column-major order: smallest b, then smallest a
+    j, i = divmod(int(np.argmax((values <= best + TIE_TOL * peak).T.ravel())), len(values))
+    return best, i, j
 
 
 def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, np.ndarray]:

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -58,13 +59,29 @@ def _report(command: str, inputs: dict, tolerances: dict, results: dict) -> dict
     }
 
 
+def _parse_number(token: str) -> float:
+    """The float nearest the token's exact value, or ValueError, ZeroDivisionError or OverflowError.
+
+    float() rounds correctly as Fraction does, so a finite nonzero result
+    needs no Fraction; zero keeps Fraction's sign ("-0" gives 0.0), and
+    inf, nan and overflow fall through to Fraction to be rejected.
+    """
+    try:
+        value = float(token)
+    except ValueError:
+        value = 0.0  # a fraction such as 5/2, or no number at all: Fraction decides
+    if value != 0.0 and math.isfinite(value):
+        return value
+    return float(Fraction(token))
+
+
 def _parse_numbers(text: str, path: str) -> list[float]:
     values = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
         for token in line.split():
             try:
-                values.append(float(Fraction(token)))
+                values.append(_parse_number(token))
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise InvalidInput(f"{path}: cannot parse {token!r} as a float") from None
     return values
@@ -157,7 +174,7 @@ def cmd_bounds(args) -> tuple[dict, int]:
 
     cm = CoefficientMatrix(matrix)
     rep = bounds_report(cm, s)
-    beta_q, schmidt = quantum_value(cm, s)
+    beta_q, schmidt, diagnostics = quantum_value(cm, s)
 
     results = {
         "beta_constrained": rep.beta_constrained,
@@ -171,6 +188,7 @@ def cmd_bounds(args) -> tuple[dict, int]:
             None if rep.beta_constrained is None else violates(cm, s, beta_q, rep.beta_constrained)
         ),
         "violates_unconstrained": violates(cm, s, beta_q, rep.beta_unconstrained),
+        "diagnostics": asdict(diagnostics),
     }
     report = _report("bounds", inputs, {"witness_check": WITNESS_TOL}, results)
     return report, 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedSpin
+from .errors import InvalidInput, UnsupportedSpin
 
 
 @dataclass(frozen=True, order=True)
@@ -48,7 +48,7 @@ def is_sum_of_three_squares(n: int) -> bool:
     stripping factors of 4 and testing the residue mod 8.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidInput("n must be nonnegative")
     while n % 4 == 0 and n > 0:
         n //= 4
     return n % 8 != 7

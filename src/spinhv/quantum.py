@@ -52,10 +52,17 @@ block entry from one row of D,
     <v_r'| D |v_r> = sum_b chi(g_b) sqrt(|stab r| / |stab r'|) D[r', b],
 
 over the nonzero entries b = g_b r of row r' in the orbit of r, so only
-the rows of the least indices of the two blocks are read.  Both blocks
-get their least eigenvalue; the lesser one's block (the first in the
-fixed order on an exact tie) is solved for its eigenvector, which is
-mapped back to a real amplitude matrix phi.
+the rows of the least indices of the two blocks are read.
+
+The value is lam_L, the least eigenvalue of the larger block (the last
+in the fixed order), unless a Cholesky factor of the smaller block
+shifted by lam_L is missing; only then is the smaller block solved too,
+and the lesser minimum wins (the first block on an exact tie).  Two steps
+of inverse iteration on the winner shifted to value - tol give its
+vector, from the sign pattern (-1)^i of each basis vector's least index:
+the conjugated ground vector is nonnegative, so the start is not
+orthogonal to it.  The vector is mapped back to a real amplitude matrix
+phi.
 
 The value is certified in D's frame.  The computed P, Q and sigma give B
 only up to the SVD gap g = s^2 (sum |C - P diag(sigma) Q^T| plus a term
@@ -63,15 +70,17 @@ for the orthogonality defect of P and Q), since ||S_k (x) S_l|| = s^2;
 so B's eigenvalues lie within g of D's.  The residual of phi against the
 full D plus g within the tolerance shows an eigenvalue of B near the
 value.  A Cholesky factor of both Perron blocks shifted by
-value - tol + g shows that neither has an eigenvalue at or below that
-floor; the theorem, not a computation, shows the other six blocks have
-none below the lesser Perron minimum.  Together no eigenvalue of B lies
-below value - tol.  quantum_value stops there and reports the Schmidt
-coefficients of phi, which are those of B's ground state by local-unitary
-invariance.  quantum_bound also rotates phi back to B's frame and checks
-its residual against the full C, a cross-check of the rotation code.
-Both residuals come from one real kernel, Psi -> sum_kl a_kl R_k Psi
-R_l^T.  bell_operator keeps the dense B as the reference oracle.
+value - tol + g (for the smaller block, the exclusion factor when lam_L
+is not below that floor) shows that neither has an eigenvalue at or
+below it; the theorem, not a computation, shows the other six blocks
+have none below the lesser Perron minimum.  Together no eigenvalue of B
+lies below value - tol.  quantum_value stops there and reports the
+Schmidt coefficients of phi, which are those of B's ground state by
+local-unitary invariance, with the solve's sizes, effort and residuals.
+quantum_bound also rotates phi back to B's frame and checks its residual
+against the full C, a cross-check of the rotation code.  Both residuals
+come from one real kernel, Psi -> sum_kl a_kl R_k Psi R_l^T.
+bell_operator keeps the dense B as the reference oracle.
 """
 from __future__ import annotations
 
@@ -85,6 +94,8 @@ from .bounds import as_coefficient_matrix
 from .errors import (
     DimensionMismatch,
     EigensolverFailure,
+    InvalidInput,
+    NonFiniteMatrix,
     NotARotation,
     UnsupportedSpin,
 )
@@ -108,11 +119,11 @@ class HermitianOperator:
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("operator has non-finite entries")
+            raise NonFiniteMatrix("operator has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
-            raise ValueError("matrix is not Hermitian within tolerance")
+            raise InvalidInput("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", m)
 
     @property
@@ -133,9 +144,9 @@ class StateVector:
     def __post_init__(self) -> None:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(v)):
-            raise ValueError("state vector has non-finite amplitudes")
+            raise NonFiniteMatrix("state vector has non-finite amplitudes")
         if abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
-            raise ValueError("state vector is not normalized")
+            raise InvalidInput("state vector is not normalized")
         object.__setattr__(self, "amplitudes", v)
 
     @property
@@ -336,20 +347,40 @@ def _has_factor(block: np.ndarray, floor: float) -> bool:
     return True
 
 
-def _diagonal_ground_state(blocks: list[np.ndarray], doubled: int) -> tuple[float, np.ndarray]:
-    """Least eigenvalue of D and a real eigenvector as a (2s+1, 2s+1) amplitude matrix.
+def _diagonal_ground_state(
+    blocks: list[np.ndarray], doubled: int, tol: float
+) -> tuple[float, np.ndarray, float, int]:
+    """Least eigenvalue of D, a real eigenvector as a (2s+1, 2s+1) amplitude matrix, and effort.
 
-    The Perron block with the lesser least eigenvalue (the first on an
-    exact tie) is solved for its vector.
+    Also the shift the smaller block was shown to lie above (-inf when it
+    was solved instead) and the number of eigvalsh calls.
     """
     table = _symmetry_blocks(doubled)
-    k = int(np.argmin([np.linalg.eigvalsh(block)[0] for block in blocks]))
-    eigenvalues, eigenvectors = np.linalg.eigh(blocks[k])
-    block = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
-    amplitudes = table.coefficients[block] * eigenvectors[:, :1]
+    value, k, cleared, calls = float(np.linalg.eigvalsh(blocks[1])[0]), 1, -math.inf, 1
+    if _has_factor(blocks[0], value):
+        cleared = value
+    else:
+        least, calls = float(np.linalg.eigvalsh(blocks[0])[0]), 2
+        if least <= value:
+            k, value = 0, least
+    rows = slice(0, len(blocks[0])) if k == 0 else slice(len(blocks[0]), None)
     d = doubled + 1
-    phi = np.bincount(table.members[block].ravel(), amplitudes.ravel(), d * d)
-    return float(eigenvalues[0]), phi.reshape(d, d)
+    # inverse iteration from the Perron sign pattern, on the block and shift over
+    # max(max|block|, |shift|): no shifted entry overflows, and a tol below the
+    # normal range (the zero matrix) leaves no subnormal system
+    vector = 1.0 - 2.0 * (table.members[rows, 0] // d % 2)
+    peak = max(float(np.max(np.abs(blocks[k]))), abs(value - tol))
+    shifted = blocks[k] / peak
+    shifted.flat[:: len(shifted) + 1] -= (value - tol) / peak
+    for _ in range(2):  # one step can leave a residual above tol
+        try:
+            vector = np.linalg.solve(shifted, vector)
+        except np.linalg.LinAlgError:
+            raise EigensolverFailure("the shifted Perron block is singular") from None
+        vector = vector / np.linalg.norm(vector)
+    amplitudes = table.coefficients[rows] * vector[:, None]
+    phi = np.bincount(table.members[rows].ravel(), amplitudes.ravel(), d * d)
+    return value, phi.reshape(d, d), cleared, calls
 
 
 def _norm(x: np.ndarray) -> float:
@@ -385,18 +416,30 @@ def _svd_gap(c: np.ndarray, p: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> 
     return peak * (float(np.sum(np.abs(c / peak - (p * unit) @ q.T))) + defect)
 
 
-def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """The least eigenvalue of B certified in D's frame, with phi, P, Q and the tolerance.
+@dataclass(frozen=True)
+class EigenDiagnostics:
+    """Sizes, effort and residuals of quantum_value's certified solve.
 
-    With tol = EIG_RESIDUAL_TOL * ||C||_F s(s+1), the scale floored only
-    at the least normal float so the zero matrix keeps a positive tol, and
-    g the SVD gap times s^2, the residual of phi against D plus g stays
-    within tol, so an eigenvalue of B lies within tol of the value, and
-    both Perron blocks of D shifted by value - tol + g have a Cholesky
-    factor, so, as the other six blocks lie above the lesser Perron minimum,
-    none of B lies below value - tol.  The norms are taken overflow-safe,
-    and a tol that is not finite, which would pass any residual, raises
-    EigensolverFailure before the solve.
+    perron_block_sizes are the rows of the two Perron blocks in the fixed
+    order; eigvalsh_calls is 2 when the smaller block had no exclusion
+    factor, else 1; the residual of phi against D plus svd_gap (s^2 times
+    the SVD gap) stayed within eigen_tolerance.
+    """
+
+    perron_block_sizes: tuple[int, int]
+    eigvalsh_calls: int
+    eigen_residual: float
+    svd_gap: float
+    eigen_tolerance: float
+
+
+def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, EigenDiagnostics]:
+    """The least eigenvalue of B certified in D's frame (module docstring), with phi, P, Q and diagnostics.
+
+    tol = EIG_RESIDUAL_TOL * ||C||_F s(s+1), the scale floored only at the
+    least normal float so the zero matrix keeps a positive tol.  The norms
+    are taken overflow-safe, and a tol that is not finite, which would pass
+    any residual, raises EigensolverFailure before the solve.
     """
     scale = _norm(cm.entries) * s.value * (s.value + 1.0)
     tol = EIG_RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
@@ -409,7 +452,7 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
             factor[:, 2] = -factor[:, 2]
             sigma[2] = -sigma[2]
     blocks = _diagonal_blocks(sigma, s.doubled)
-    lam, phi = _diagonal_ground_state(blocks, s.doubled)
+    lam, phi, cleared, calls = _diagonal_ground_state(blocks, s.doubled, tol)
     # an overflow gives an infinite or nan residual or gap, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _norm(_action(np.diag(sigma * _SIGNS), s.doubled, phi) - lam * phi)
@@ -419,23 +462,25 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
             f"eigenpair residual {residual:.3e} plus SVD gap {gap:.3e} exceeds tolerance"
         )
     floor = lam - tol + gap
-    if not all(_has_factor(block, floor) for block in blocks):
+    pending = blocks[1:] if cleared >= floor else blocks
+    if not all(_has_factor(block, floor) for block in pending):
         raise EigensolverFailure(f"an eigenvalue lies at or below {floor:.17g}, under the one found")
-    return lam, phi, p, q, tol
+    sizes = (len(blocks[0]), len(blocks[1]))
+    return lam, phi, p, q, EigenDiagnostics(sizes, calls, residual, gap, tol)
 
 
-def quantum_value(C, s: SpinValue) -> tuple[float, np.ndarray]:
-    """Minimal eigenvalue of the Bell operator and the Schmidt coefficients of an optimal state.
+def quantum_value(C, s: SpinValue) -> tuple[float, np.ndarray, EigenDiagnostics]:
+    """Minimal eigenvalue of the Bell operator, the Schmidt coefficients of an optimal state, and diagnostics.
 
-    Both come from D's frame with its certificate (module docstring): the
+    All come from D's frame with its certificate (module docstring): the
     coefficients are the singular values of D's ground-state amplitude
     matrix, descending, which a local unitary does not change.  No state
     is rotated back.
     """
     cm = as_coefficient_matrix(C)
     _check_spin(s)
-    lam, phi, *_ = _diagonal_solution(cm, s)
-    return lam, _singular_values(phi)
+    lam, phi, _, _, diagnostics = _diagonal_solution(cm, s)
+    return lam, _singular_values(phi), diagnostics
 
 
 def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
@@ -447,14 +492,14 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     """
     cm = as_coefficient_matrix(C)
     _check_spin(s)
-    lam, phi, p, q, tol = _diagonal_solution(cm, s)
+    lam, phi, p, q, diagnostics = _diagonal_solution(cm, s)
     u_p = rotation_unitary(s, p.T)
     u_q = rotation_unitary(s, q.T)
     state = StateVector(u_p @ phi @ u_q.T)
     # an overflowing action gives an infinite or nan residual, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _norm(bell_action(cm, s, state) - lam * state.amplitudes)
-    if not residual <= tol:
+    if not residual <= diagnostics.eigen_tolerance:
         raise EigensolverFailure(f"eigenpair residual {residual:.3e} exceeds tolerance")
     return lam, state
 
@@ -513,7 +558,7 @@ def expectation(state: StateVector, op: HermitianOperator) -> float:
         raise DimensionMismatch(f"state dim {state.dim} != operator dim {op.dim}")
     value = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
     if abs(value.imag) > 1e-10 * max(1.0, float(np.max(np.abs(op.entries)))):
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
+        raise InvalidInput(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
 

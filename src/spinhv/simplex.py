@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LpNumericalFailure
+from .errors import DimensionMismatch, LpNumericalFailure
 
 PIVOT_TOL = 1e-9
 # phase-1 artificial residue below which the system counts as feasible
@@ -97,7 +97,7 @@ def solve_equality_lp(A, b) -> LpOutcome:
     b = np.asarray(b, dtype=float).reshape(-1)
     m, n = A.shape
     if b.shape != (m,):
-        raise ValueError("A and b have incompatible shapes")
+        raise DimensionMismatch("A and b have incompatible shapes")
 
     flip = b < 0
     A = np.where(flip[:, None], -A, A)

@@ -230,6 +230,42 @@ class TestErrors:
             classical_bound(bad, SpinValue(2), constrained=False)
 
 
+def _lexsort_pair(values: np.ndarray) -> tuple[float, int, int]:
+    """The reference selection: every entry within the window, ordered by b, then a, by lexsort."""
+    best = float(values.min())
+    peak = max(float(values.max()), -best)
+    ii, jj = np.nonzero(values <= best + bounds_module.TIE_TOL * peak)
+    k = int(np.lexsort((ii, jj))[0])
+    return best, int(ii[k]), int(jj[k])
+
+
+class TestSelectPair:
+    """_select_pair's one-pass argmin against the lexsort reference."""
+
+    def test_matches_the_lexsort_reference(self):
+        rng = np.random.default_rng(1919)
+        tables = [np.zeros((4, 7)), np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([[1.0, -0.0], [0.0, -0.0]])]
+        for _ in range(300):
+            na, nb = (int(n) for n in rng.integers(1, 40, size=2))
+            # small integers tie exactly, often
+            tables.append(rng.integers(-3, 4, size=(na, nb)).astype(float))
+            # planted ties within the window, and one just outside it
+            table = rng.normal(size=(na, nb))
+            low, window = float(table.min()), bounds_module.TIE_TOL * float(np.abs(table).max())
+            flat = table.reshape(-1)
+            flat[rng.integers(0, flat.size, size=3)] = low + rng.uniform(0.0, 0.9) * window
+            flat[rng.integers(0, flat.size)] = low + 2.0 * window
+            tables.append(table)
+        for table in tables:
+            assert bounds_module._select_pair(table) == _lexsort_pair(table)
+
+    def test_smallest_b_then_smallest_a(self):
+        table = np.array([[0.0, -1.0, -1.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+        assert bounds_module._select_pair(table) == (-1.0, 1, 0)
+        table[1, 0] = 0.0
+        assert bounds_module._select_pair(table) == (-1.0, 0, 1)
+
+
 class TestBoundsReport:
     def test_example1_report(self):
         rep = bounds_report(EXAMPLE1, SpinValue(2))

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import json
+import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -8,15 +10,20 @@ import numpy as np
 import pytest
 
 from spinhv import (
+    CoefficientMatrix,
+    DimensionMismatch,
     HermitianOperator,
     InvalidInput,
     LpNumericalFailure,
+    NonFiniteMatrix,
     NumericalFailure,
     SpinHvError,
     SpinValue,
+    StateVector,
     bell_operator,
     enumerate_constrained,
     expectation,
+    is_sum_of_three_squares,
     quantum_bound,
     schmidt_coefficients,
     spin_operators,
@@ -25,10 +32,11 @@ from spinhv import (
 from spinhv import errors
 from spinhv.assignments import conserving_target_doubled
 from spinhv.bounds import WITNESS_TOL
-from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, main
+from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, _parse_numbers, main
 from spinhv.matrices import EXAMPLE1, EXAMPLE3
 from spinhv.polytope import MEMBERSHIP_TOL, vertex_array_quadrupled
-from spinhv.quantum import EIG_RESIDUAL_TOL
+from spinhv.quantum import EIG_RESIDUAL_TOL, _symmetry_blocks
+from spinhv.simplex import solve_equality_lp
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +125,23 @@ class TestBoundsCommand:
         assert results["beta_constrained"] == pytest.approx(-20.0, abs=1e-9)
         assert results["beta_unconstrained"] == pytest.approx(-34.0, abs=1e-9)
         assert results["beta_quantum"] == pytest.approx(-20.1897, abs=5e-4)
+
+    @pytest.mark.parametrize("doubled", [1, 7, 20, 40])
+    def test_diagnostics_describe_the_certified_solve(self, capsys, doubled):
+        code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", str(doubled))
+        assert code == 0
+        results = report["results"]
+        assert list(results)[-1] == "diagnostics"
+        diagnostics = results["diagnostics"]
+        assert list(diagnostics) == [
+            "perron_block_sizes", "eigvalsh_calls", "eigen_residual", "svd_gap", "eigen_tolerance"
+        ]
+        assert diagnostics["perron_block_sizes"] == _symmetry_blocks(doubled).sizes.tolist()
+        assert diagnostics["eigvalsh_calls"] in (1, 2)
+        s = SpinValue(doubled)
+        tol = EIG_RESIDUAL_TOL * float(np.linalg.norm(EXAMPLE3)) * s.value * (s.value + 1.0)
+        assert diagnostics["eigen_tolerance"] == pytest.approx(tol, rel=1e-15)
+        assert 0.0 <= diagnostics["eigen_residual"] + diagnostics["svd_gap"] <= tol
 
     def test_zero_matrix_from_file(self, capsys, tmp_path):
         path = tmp_path / "zero.txt"
@@ -527,6 +552,61 @@ class TestExitCodes:
         assert len(leaves) == 8
         for cls in leaves:
             assert sum(issubclass(cls, family) for family in FAMILIES) == 1, cls.__name__
+
+
+class TestParseNumbers:
+    """A finite nonzero token takes float(), the rest Fraction: every value is float(Fraction(token))."""
+
+    ACCEPTED = [
+        "1", "-2.5", "+.5", "5.", "3e2", "1.5E+3", ".5e-3", "0.1", "1e-5", "1e308",
+        "1.7976931348623157e308", "4e-320", "-4e-320", "5/2", "-3/4", "1/3", "٣.٥",
+        # zeros keep Fraction's sign: "-0" gives 0.0, an underflow of a negative gives -0.0
+        "0", "-0", "+0", "0.0", "-0.0", "0/7", "-0/3", "1e-400", "-1e-400",
+    ]
+    REJECTED = ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1/0", "0x10", "abc", "1e", "--1"]
+
+    @pytest.mark.parametrize("token", ACCEPTED)
+    def test_value_and_sign_as_by_fraction(self, token):
+        value, = _parse_numbers(f"{token} # one entry", "m.txt")
+        assert value.hex() == float(Fraction(token)).hex()
+
+    @pytest.mark.parametrize("token", REJECTED)
+    def test_rejected_as_before(self, token):
+        with pytest.raises(InvalidInput, match=re.escape(f"m.txt: cannot parse {token!r} as a float")):
+            _parse_numbers(f"0 {token}", "m.txt")
+
+
+def _imaginary_expectation():
+    # Hermitian within 1e-12 entrywise, yet <psi| op |psi> has imaginary part 1.6e-10
+    op = HermitianOperator(np.eye(400) + 4e-13j * np.ones((400, 400)))
+    return expectation(StateVector(np.full(400, 0.05)), op)
+
+
+class TestLibraryInputErrors:
+    """The library's own input checks raise InvalidInput members, still ValueErrors."""
+
+    @pytest.mark.parametrize(
+        "call, cls",
+        [
+            (lambda: CoefficientMatrix(np.zeros((2, 2))), DimensionMismatch),
+            (lambda: HermitianOperator(np.zeros((2, 3))), DimensionMismatch),
+            (lambda: HermitianOperator(np.array([[math.nan]])), NonFiniteMatrix),
+            (lambda: HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]])), InvalidInput),
+            (lambda: StateVector(np.array([math.inf, 0.0])), NonFiniteMatrix),
+            (lambda: StateVector(np.array([1.0, 1.0])), InvalidInput),
+            (_imaginary_expectation, InvalidInput),
+            (lambda: solve_equality_lp(np.eye(2), np.ones(3)), DimensionMismatch),
+            (lambda: is_sum_of_three_squares(-1), InvalidInput),
+        ],
+        ids=[
+            "coefficient-shape", "operator-shape", "operator-nan", "operator-not-hermitian",
+            "state-inf", "state-norm", "expectation-imaginary", "lp-shapes", "negative-n",
+        ],
+    )
+    def test_raises_invalid_input(self, call, cls):
+        with pytest.raises(cls) as raised:
+            call()
+        assert isinstance(raised.value, InvalidInput) and isinstance(raised.value, ValueError)
 
 
 class TestReportEncoding:

@@ -210,7 +210,7 @@ class TestQuantumValue:
     def test_agrees_with_quantum_bound(self, doubled):
         s = SpinValue(doubled)
         for C in _value_matrices(doubled):
-            value, schmidt = quantum_value(C, s)
+            value, schmidt, _ = quantum_value(C, s)
             reference, state = quantum_bound(C, s)
             assert value == reference
             assert np.max(np.abs(schmidt - schmidt_coefficients(state, s))) <= 1e-12
@@ -226,7 +226,7 @@ class TestQuantumValue:
     @pytest.mark.filterwarnings("error")
     def test_answers_at_the_float_limit(self):
         # the SVD gap's 3 max|sigma| overflows unless taken on C / max|c_kl|
-        value, schmidt = quantum_value(1e308 * IDENTITY, SpinValue(1))
+        value, schmidt, _ = quantum_value(1e308 * IDENTITY, SpinValue(1))
         assert value == quantum_bound(1e308 * IDENTITY, SpinValue(1))[0]
         assert value == pytest.approx(-0.75e308, rel=1e-12)
         assert np.sum(schmidt**2) == pytest.approx(1.0, abs=1e-12)
@@ -246,9 +246,19 @@ def _block_eigenpair(blocks: list[np.ndarray], doubled: int, k: int, n: int):
     return float(eigenvalues[n]), phi.reshape(d, d)
 
 
-def _second_eigenpair(blocks: list[np.ndarray], doubled: int):
-    """A wrong ground state: the second eigenpair of the last block."""
-    return _block_eigenpair(blocks, doubled, len(blocks) - 1, 1)
+def _second_eigenpair(excluded: bool):
+    """A wrong ground state: the second eigenpair of the last block.
+
+    Unless excluded, both blocks are factored at the floor; excluded, the
+    smaller block counts as cleared at the excited value, and only the last
+    block's factor can catch it.
+    """
+
+    def ground_state(blocks: list[np.ndarray], doubled: int, tol: float):
+        lam, phi = _block_eigenpair(blocks, doubled, len(blocks) - 1, 1)
+        return lam, phi, lam if excluded else -math.inf, 1
+
+    return ground_state
 
 
 class TestCertificateScale:
@@ -256,15 +266,18 @@ class TestCertificateScale:
 
     @pytest.mark.parametrize("exponent", [0, -10, -30, -40, -60])
     def test_rejects_an_excited_state_at_every_scale(self, monkeypatch, exponent):
-        monkeypatch.setattr(quantum_module, "_diagonal_ground_state", _second_eigenpair)
-        for C in (EXAMPLE1, EXAMPLE3):
-            with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
-                quantum_value(C * 2.0**exponent, SpinValue(2))
+        # with both blocks factored at the floor, and with the smaller block
+        # cleared by an exclusion factor at the excited value
+        for excluded in (False, True):
+            monkeypatch.setattr(quantum_module, "_diagonal_ground_state", _second_eigenpair(excluded))
+            for C in (EXAMPLE1, EXAMPLE3):
+                with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
+                    quantum_value(C * 2.0**exponent, SpinValue(2))
 
     @pytest.mark.parametrize("exponent", [0, -40, -1000])
     def test_answers_at_every_scale(self, exponent):
         C = EXAMPLE1 * 2.0**exponent
-        value, schmidt = quantum_value(C, SpinValue(2))
+        value, schmidt, _ = quantum_value(C, SpinValue(2))
         assert value == pytest.approx(-(1.0 + math.sqrt(17.0)) / 2.0 * 2.0**exponent, rel=1e-12)
         assert np.max(np.abs(schmidt - quantum_value(EXAMPLE1, SpinValue(2))[1])) <= 1e-12
 
@@ -431,6 +444,43 @@ class TestSymmetryBlocks:
         with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
             quantum_value(EXAMPLE3, SpinValue(6))
 
+    def test_failed_certificate_raises_after_the_exclusion(self, monkeypatch):
+        # the exclusion factor holds, so only the larger block is factored at
+        # the floor, and its missing factor fails the certificate
+        floors = []
+        monkeypatch.setattr(
+            quantum_module, "_has_factor", lambda block, floor: floors.append(floor) or len(floors) == 1
+        )
+        with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
+            quantum_value(EXAMPLE3, SpinValue(6))
+        assert len(floors) == 2 and floors[1] <= floors[0]
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_factors_both_blocks_at_the_floor_unless_excluded(self, monkeypatch, excluded):
+        factored = []
+
+        def record(block, floor):
+            factored.append((len(block), floor))
+            return excluded or len(factored) > 1
+
+        monkeypatch.setattr(quantum_module, "_has_factor", record)
+        value, _, diagnostics = quantum_value(EXAMPLE3, SpinValue(6))
+        small, large = _symmetry_blocks(6).sizes.tolist()
+        floor = value - diagnostics.eigen_tolerance + diagnostics.svd_gap
+        # the exclusion at the larger block's minimum, then the certificate at the floor
+        assert factored[0][0] == small
+        expected = [(large, floor)] if excluded else [(small, floor), (large, floor)]
+        assert factored[1:] == expected
+        assert diagnostics.eigvalsh_calls == (1 if excluded else 2)
+
+    def test_singular_shifted_block_raises(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(EigensolverFailure, match="the shifted Perron block is singular"):
+            quantum_value(EXAMPLE3, SpinValue(6))
+
 
 def _choice_matrices(doubled: int, random_rotation) -> list[np.ndarray]:
     rng = np.random.default_rng(300 + doubled)
@@ -476,24 +526,35 @@ class TestBlockChoice:
             for index in (2, 5, 12, 15):
                 _assert_perron_minimum(matrices[index], SpinValue(doubled), f"2s = {doubled}, matrix {index}")
 
-    def test_two_eigvalsh_and_one_eigh_per_solve(self, monkeypatch, random_rotation):
+    def test_no_eigh_and_one_eigvalsh_unless_the_smaller_block_reaches_down(
+        self, monkeypatch, random_rotation
+    ):
         eigh_sizes, eigvalsh_sizes = [], []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or _EIGH(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh_sizes.append(len(a)) or _EIGVALSH(a))
         for doubled in (1, 2, 7, 20, 40):
             sizes = _symmetry_blocks(doubled).sizes.tolist()
             for index, C in enumerate(_choice_matrices(doubled, random_rotation)):
-                eigh_sizes.clear()
                 eigvalsh_sizes.clear()
-                value, schmidt = quantum_value(C, SpinValue(doubled))
+                value, schmidt, diagnostics = quantum_value(C, SpinValue(doubled))
                 where = f"2s = {doubled}, matrix {index}"
-                assert eigvalsh_sizes == sizes, where
-                # the winner is the lesser minimum, the first on an exact tie
+                assert eigh_sizes == [], where
+                # the larger block first; the smaller one only without the exclusion factor
                 blocks = _diagonal_blocks(_sigma_of(C), doubled)
-                k = int(np.argmin([_EIGVALSH(block)[0] for block in blocks]))
-                assert eigh_sizes == [sizes[k]], where
-                lam, phi = _block_eigenpair(blocks, doubled, k, 0)
-                assert value == lam and np.array_equal(schmidt, _singular_values(phi)), where
+                minima = [_EIGVALSH(block)[0] for block in blocks]
+                excluded = _has_factor(blocks[0], minima[1])
+                assert eigvalsh_sizes == (sizes[::-1][:1] if excluded else sizes[::-1]), where
+                assert diagnostics.eigvalsh_calls == len(eigvalsh_sizes), where
+                assert diagnostics.perron_block_sizes == tuple(sizes), where
+                # the winner is the lesser minimum, the first on an exact tie, as with two eigvalsh
+                k = int(np.argmin(minima))
+                assert value == minima[k], where
+                assert not excluded or k == 1, where
+                # where the ground level is simple, the state is eigh's
+                levels = np.sort(np.concatenate([_EIGVALSH(block)[:2] for block in blocks]))
+                if levels[1] - levels[0] > 1e-6 * max(1.0, abs(levels[0])):
+                    phi = _block_eigenpair(blocks, doubled, k, 0)[1]
+                    assert np.max(np.abs(schmidt - _singular_values(phi))) <= 1e-9, where
 
     @pytest.mark.filterwarnings("error")
     def test_overflowed_shift_fails_the_certificate(self):
@@ -506,6 +567,75 @@ class TestBlockChoice:
         assert math.isfinite(tol)
         with pytest.raises(EigensolverFailure, match="an eigenvalue lies at or below"):
             quantum_value(C, s)
+
+
+def _grid_matrices(random_rotation) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(1940)
+    return {
+        "normal": rng.normal(size=(3, 3)),
+        "normal 2": rng.normal(size=(3, 3)),
+        "integer": rng.integers(-3, 4, size=(3, 3)).astype(float),
+        "rotation": random_rotation(rng),
+        "identity": IDENTITY,
+        "-identity": -IDENTITY,
+        "zero": np.zeros((3, 3)),
+        "diag(1, 1, -1)": np.diag([1.0, 1.0, -1.0]),
+        "diag(2, 1, 0.5)": np.diag([2.0, 1.0, 0.5]),
+        "1e-300 identity": 1e-300 * IDENTITY,
+        "1e150 normal": 1e150 * rng.normal(size=(3, 3)),
+    }
+
+
+class TestSolveGrid:
+    """quantum_value at every supported spin on generic, degenerate and extreme-scale matrices."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doubled", range(1, 41))
+    def test_certified_at_every_spin(self, doubled, random_rotation):
+        s = SpinValue(doubled)
+        for name, C in _grid_matrices(random_rotation).items():
+            value, schmidt, diagnostics = quantum_value(C, s)
+            tol = diagnostics.eigen_tolerance
+            # two steps of inverse iteration leave the residual far inside tol; one step does not
+            assert diagnostics.eigen_residual <= 1e-3 * tol, name
+            assert diagnostics.eigvalsh_calls in (1, 2), name
+            assert float(np.sum(schmidt**2)) == pytest.approx(1.0, abs=1e-12), name
+            if doubled <= 12:
+                reference = _EIGVALSH(bell_operator(C, s).entries)[0]
+                assert abs(value - reference) <= tol, name
+        # the zero matrix: tol is subnormal, and the solve neither overflows nor moves off 0
+        assert quantum_value(np.zeros((3, 3)), s)[0] == 0.0
+
+
+class TestPerronStart:
+    """Inverse iteration starts from (-1)^i, the sign pattern of every Perron block's ground vector."""
+
+    @staticmethod
+    def _start_and_ground_vector(C: np.ndarray, doubled: int):
+        table = _symmetry_blocks(doubled)
+        blocks = _diagonal_blocks(_sigma_of(C), doubled)
+        k = int(np.argmin([_EIGVALSH(block)[0] for block in blocks]))
+        rows = slice(int(table.sizes[:k].sum()), int(table.sizes[: k + 1].sum()))
+        start = 1.0 - 2.0 * (table.members[rows, 0] // (doubled + 1) % 2)
+        return start, _EIGH(blocks[k])[1][:, 0]
+
+    @pytest.mark.parametrize("doubled", [1, 2, 5, 12, 20, 33])
+    def test_matches_the_signs_of_the_ground_vector(self, doubled):
+        rng = np.random.default_rng(doubled)
+        for C in [rng.normal(size=(3, 3)) for _ in range(3)] + [EXAMPLE3, np.diag([2.0, 1.0, 0.5])]:
+            start, vector = self._start_and_ground_vector(C, doubled)
+            assert abs(start @ vector) == pytest.approx(np.abs(vector).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("doubled", [3, 7, 11, 15, 19])
+    def test_all_ones_misses_the_singlet_at_3_mod_4(self, doubled):
+        # for a rotation D = S_A . S_B, and its ground state the singlet is
+        # orthogonal to the all-ones start; the sign pattern meets it in full
+        for C in (IDENTITY, ROTATION_Z45):
+            start, vector = self._start_and_ground_vector(C, doubled)
+            assert abs(np.sum(vector)) <= 1e-12
+            assert abs(start @ vector) >= 1.0
+            value = quantum_value(C, SpinValue(doubled))[0]
+            assert value == pytest.approx(-doubled * (doubled + 2) / 4.0, rel=1e-12)
 
 
 class TestClosedForms:
