@@ -38,13 +38,10 @@ from .number_theory import (
 )
 from .polytope import (
     CorrelationPoint,
-    InclusionReport,
     MembershipResult,
-    inclusion_check,
     membership,
 )
 from .quantum import (
-    HermitianOperator,
     StateVector,
     bell_action,
     bell_operator,
@@ -58,7 +55,7 @@ from .quantum import (
     spin_operators,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BoundCheckFailure",
@@ -67,8 +64,6 @@ __all__ = [
     "CorrelationPoint",
     "DimensionMismatch",
     "EigensolverFailure",
-    "HermitianOperator",
-    "InclusionReport",
     "InfeasibleSpin",
     "InvalidInput",
     "LpNumericalFailure",
@@ -89,7 +84,6 @@ __all__ = [
     "enumerate_unconstrained",
     "expectation",
     "feasible_by_enumeration",
-    "inclusion_check",
     "is_sum_of_three_squares",
     "magnitude_feasible",
     "membership",

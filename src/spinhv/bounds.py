@@ -70,16 +70,19 @@ class BoundsReport:
     """Both classical bounds with their minimizing assignment pairs.
 
     Each witness is a (2, 3) int64 array, the doubled rows [2a, 2b].
-    beta_constrained is None (and constrained_infeasible is True) when no
-    magnitude-conserving assignment exists for the spin, in which case the
-    inequality refutes the conserving model state-independently.
+    beta_constrained is None when no magnitude-conserving assignment
+    exists for the spin, in which case the inequality refutes the
+    conserving model state-independently.
     """
 
     beta_constrained: float | None
     beta_unconstrained: float
     witness_constrained: np.ndarray | None
     witness_unconstrained: np.ndarray
-    constrained_infeasible: bool = False
+
+    @property
+    def constrained_infeasible(self) -> bool:
+        return self.beta_constrained is None
 
 
 def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
@@ -170,7 +173,7 @@ def bounds_report(C, s: SpinValue) -> BoundsReport:
     try:
         beta, w = classical_bound(cm, s, constrained=True)
     except InfeasibleSpin:
-        return BoundsReport(None, beta_bar, None, w_bar, constrained_infeasible=True)
+        return BoundsReport(None, beta_bar, None, w_bar)
     if not _witness_reproduces(cm, s, w, beta):
         raise BoundCheckFailure("witness does not reproduce its bound")
     if beta < beta_bar - _check_tol(cm, s, beta_bar):

@@ -27,8 +27,9 @@ from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report, violates
 from .errors import InvalidInput, NumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
-from .polytope import MEMBERSHIP_TOL, CorrelationPoint, membership
-from .quantum import MAX_SPIN_DOUBLED, bell_action, quantum_value, rotated_singlet
+from .polytope import CORRELATOR_SLACK, MEMBERSHIP_TOL, RECONSTRUCTION_TOL, CorrelationPoint, membership
+from .quantum import EIG_RESIDUAL_TOL, MAX_SPIN_DOUBLED, SCHMIDT_NORM_TOL
+from .quantum import bell_action, quantum_value, rotated_singlet
 
 MAX_FORMULA_DOUBLED = 2000
 MAX_ORACLE_DOUBLED = 200
@@ -46,6 +47,7 @@ TABLE1_TARGETS = {
 
 TABLE1_CLASSICAL_TOL = 1e-9
 TABLE1_QUANTUM_TOL = 1e-8
+WEIGHT_FLOOR = 1e-12  # inside weights at or below it are left out of the membership report
 
 
 def _report(command: str, inputs: dict, tolerances: dict, results: dict) -> dict:
@@ -190,7 +192,12 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "violates_unconstrained": violates(cm, s, beta_q, rep.beta_unconstrained),
         "diagnostics": asdict(diagnostics),
     }
-    report = _report("bounds", inputs, {"witness_check": WITNESS_TOL}, results)
+    tolerances = {
+        "witness_check": WITNESS_TOL,
+        "eigen_residual": EIG_RESIDUAL_TOL,
+        "schmidt_square_sum": SCHMIDT_NORM_TOL,
+    }
+    report = _report("bounds", inputs, tolerances, results)
     return report, 0
 
 
@@ -250,7 +257,7 @@ def cmd_membership(args) -> tuple[dict, int]:
 
     results: dict = {"inside": result.inside}
     if result.inside:
-        nonzero = np.flatnonzero(result.weights > 1e-12)
+        nonzero = np.flatnonzero(result.weights > WEIGHT_FLOOR)
         results["weights"] = [
             {
                 "vertex_index": int(i),
@@ -278,7 +285,12 @@ def cmd_membership(args) -> tuple[dict, int]:
             "spin_doubled": s.doubled,
             "constrained": args.constrained,
         },
-        {"membership": MEMBERSHIP_TOL},
+        {
+            "membership": MEMBERSHIP_TOL,
+            "correlator_slack": CORRELATOR_SLACK,
+            "weight_floor": WEIGHT_FLOOR,
+            "reconstruction": RECONSTRUCTION_TOL,
+        },
         results,
     )
     return report, 0

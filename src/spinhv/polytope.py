@@ -2,7 +2,9 @@
 
 The nine two-party correlators of a deterministic assignment pair (a, b)
 form the outer product a (x) b.  Their convex hull is the correlation
-polytope; the magnitude-constrained hull is a subset of the standard one.
+polytope; the magnitude-constrained hull is a subset of the standard one,
+strictly at every feasible s >= 1: a corner product (all entries +-s^2)
+needs |a_k| = |b_l| = s on every vertex, so 3 s^2 = s(s+1) and s = 1/2.
 The standard polytope is the hull of the 32 distinct products of the
 spectrum corners {-s, s}^3, for every spin: a (x) b is affine in each
 component of a and of b, so every other product is a convex combination
@@ -26,6 +28,7 @@ from .simplex import FEAS_TOL, LpOutcome, solve_equality_lp
 # the simplex's phase-1 threshold, reported as the membership tolerance
 MEMBERSHIP_TOL = FEAS_TOL
 RECONSTRUCTION_TOL = 1e-7
+CORRELATOR_SLACK = 1e-9  # absolute slack of the input check max|correlator| <= s^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,18 +71,6 @@ class MembershipResult:
     functional_value: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class InclusionReport:
-    """Outcome of comparing the constrained and unconstrained polytopes.
-
-    The two are equal exactly when strict is False.
-    """
-
-    strict: bool
-    witness: CorrelationPoint | None = None
-    witness_certificate: MembershipResult | None = None
-
-
 def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
     """Deduplicated outer products as exact integers, four times the correlators.
 
@@ -100,7 +91,7 @@ def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> Memb
     """
     s_val = s.doubled / 2.0
     target = point.flat()
-    if float(np.max(np.abs(target))) > s_val * s_val + 1e-9:
+    if float(np.max(np.abs(target))) > s_val * s_val + CORRELATOR_SLACK:
         raise InvalidInput(f"correlators exceed s^2 = {s_val * s_val} for s = {s}")
     vertices = vertex_array_quadrupled(s, constrained) / 4.0  # (n, 9)
     n = len(vertices)
@@ -142,24 +133,3 @@ def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> Memb
         functional_bound=bound,
         functional_value=value,
     )
-
-
-def inclusion_check(s: SpinValue) -> InclusionReport:
-    """Compare the constrained polytope with the unconstrained one it sits in.
-
-    Every conserving triple lies in the spectrum box, so inclusion holds by
-    construction.  A corner product has all nine entries +-s^2, and a
-    convex combination of conserving products a (x) b reaches that only if
-    every vertex in it has |a_k| = |b_l| = s for all k, l, so 3 s^2 =
-    s(s+1), which holds only at s = 1/2, where every corner conserves.  So
-    the polytopes are equal exactly at 2s = 1; at every other feasible spin
-    the first corner product is the witness, certified outside by one
-    membership run (which raises InfeasibleSpin for an infeasible spin).
-    """
-    if s.doubled == 1:
-        return InclusionReport(strict=False)
-    witness = CorrelationPoint(vertex_array_quadrupled(s, False)[0].reshape(3, 3) / 4.0)
-    result = membership(witness, s, constrained=True)
-    if result.inside:
-        raise LpNumericalFailure("a corner product was found inside the conserving polytope")
-    return InclusionReport(strict=True, witness=witness, witness_certificate=result)

@@ -101,34 +101,15 @@ from .errors import (
 )
 from .number_theory import SpinValue
 
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  # on max|op - op^+|, relative to max(1, max|op|)
+IMAGINARY_TOL = 1e-10  # on |Im <state| op |state>|, relative to the same scale
 NORM_TOL = 1e-12
+SCHMIDT_NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
 
 # the largest Perron block of D has 231 rows at 2s = 40
 MAX_SPIN_DOUBLED = 40
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Square finite complex matrix, Hermitian within HERMITICITY_TOL * max(1, max|entries|)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteMatrix("operator has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
-            raise InvalidInput("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,33 +253,27 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     )
 
 
-def spin_operators(s: SpinValue) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """The (2s+1)-dimensional matrices (S_x, S_y, S_z) in the S_z eigenbasis.
+def spin_operators(s: SpinValue) -> np.ndarray:
+    """The (2s+1)-dimensional matrices (S_x, S_y, S_z) in the S_z eigenbasis, a (3, 2s+1, 2s+1) array.
 
     Basis ordered m = s down to -s; built from the ladder operator with
     matrix elements sqrt(s(s+1) - m(m+1)).
     """
     _check_spin(s)
-    sx, sy, sz = _PHASES[:, None, None] * _spin_matrices(s.doubled)
-    return (HermitianOperator(sx), HermitianOperator(sy), HermitianOperator(sz))
+    return _PHASES[:, None, None] * _spin_matrices(s.doubled)
 
 
-def bell_operator(C, s: SpinValue) -> HermitianOperator:
+def bell_operator(C, s: SpinValue) -> np.ndarray:
     """sum_kl c_kl S_k (x) S_l on the bipartite space of two spin-s parties.
 
-    Dense (2s+1)^2-square reference for tests.  bounds solves in D's
-    frame; quantum_bound and table1 apply B through bell_action.
+    Dense (2s+1)^2-square complex reference for tests.  bounds solves in
+    D's frame; quantum_bound and table1 apply B through bell_action.
     """
     cm = as_coefficient_matrix(C)
-    ops = [op.entries for op in spin_operators(s)]
+    ops = spin_operators(s)
     dim = (s.doubled + 1) ** 2
-    total = np.zeros((dim, dim), dtype=complex)
-    for k in range(3):
-        for l in range(3):
-            coeff = cm.entries[k, l]
-            if coeff != 0.0:
-                total += coeff * np.kron(ops[k], ops[l])
-    return HermitianOperator(total)
+    terms = (c * np.kron(ops[k], ops[l]) for (k, l), c in np.ndenumerate(cm.entries) if c != 0.0)
+    return sum(terms, np.zeros((dim, dim), dtype=complex))
 
 
 def bell_action(C, s: SpinValue, state: StateVector) -> np.ndarray:
@@ -433,7 +408,7 @@ class EigenDiagnostics:
     eigen_tolerance: float
 
 
-def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, EigenDiagnostics]:
+def _diagonal_solution(C, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, EigenDiagnostics]:
     """The least eigenvalue of B certified in D's frame (module docstring), with phi, P, Q and diagnostics.
 
     tol = EIG_RESIDUAL_TOL * ||C||_F s(s+1), the scale floored only at the
@@ -441,6 +416,8 @@ def _diagonal_solution(cm, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray,
     are taken overflow-safe, and a tol that is not finite, which would pass
     any residual, raises EigensolverFailure before the solve.
     """
+    cm = as_coefficient_matrix(C)
+    _check_spin(s)
     scale = _norm(cm.entries) * s.value * (s.value + 1.0)
     tol = EIG_RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
     if not math.isfinite(tol):
@@ -477,9 +454,7 @@ def quantum_value(C, s: SpinValue) -> tuple[float, np.ndarray, EigenDiagnostics]
     matrix, descending, which a local unitary does not change.  No state
     is rotated back.
     """
-    cm = as_coefficient_matrix(C)
-    _check_spin(s)
-    lam, phi, _, _, diagnostics = _diagonal_solution(cm, s)
+    lam, phi, _, _, diagnostics = _diagonal_solution(C, s)
     return lam, _singular_values(phi), diagnostics
 
 
@@ -490,15 +465,13 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     D is rotated back by U_P (x) U_Q, and its residual against the full C
     must stay within the same tol, a check of the rotation code.
     """
-    cm = as_coefficient_matrix(C)
-    _check_spin(s)
-    lam, phi, p, q, diagnostics = _diagonal_solution(cm, s)
+    lam, phi, p, q, diagnostics = _diagonal_solution(C, s)
     u_p = rotation_unitary(s, p.T)
     u_q = rotation_unitary(s, q.T)
     state = StateVector(u_p @ phi @ u_q.T)
     # an overflowing action gives an infinite or nan residual, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _norm(bell_action(cm, s, state) - lam * state.amplitudes)
+        residual = _norm(bell_action(C, s, state) - lam * state.amplitudes)
     if not residual <= diagnostics.eigen_tolerance:
         raise EigensolverFailure(f"eigenpair residual {residual:.3e} exceeds tolerance")
     return lam, state
@@ -552,12 +525,18 @@ def rotated_singlet(C, s: SpinValue) -> StateVector:
     return StateVector(singlet_state(s).amplitudes.reshape(d, d) @ unitary.T)
 
 
-def expectation(state: StateVector, op: HermitianOperator) -> float:
-    """<state| op |state> as a real number, imaginary within 1e-10 * max(1, max|entries|)."""
-    if state.dim != op.dim:
-        raise DimensionMismatch(f"state dim {state.dim} != operator dim {op.dim}")
-    value = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
-    if abs(value.imag) > 1e-10 * max(1.0, float(np.max(np.abs(op.entries)))):
+def expectation(state: StateVector, op) -> float:
+    """<state| op |state> of a finite square op, checked Hermitian and real to HERMITICITY_TOL, IMAGINARY_TOL."""
+    m = np.asarray(op, dtype=complex)
+    if m.shape != (state.dim, state.dim):
+        raise DimensionMismatch(f"operator of shape {m.shape} for a state of dim {state.dim}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteMatrix("operator has non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
+        raise InvalidInput("matrix is not Hermitian within tolerance")
+    value = complex(np.vdot(state.amplitudes, m @ state.amplitudes))
+    if abs(value.imag) > IMAGINARY_TOL * scale:
         raise InvalidInput(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
@@ -574,6 +553,6 @@ def schmidt_coefficients(state: StateVector, s: SpinValue) -> np.ndarray:
 
 def _singular_values(amplitudes: np.ndarray) -> np.ndarray:
     coeffs = np.linalg.svd(amplitudes, compute_uv=False)
-    if abs(float(np.sum(coeffs**2)) - 1.0) > 1e-10:
+    if abs(float(np.sum(coeffs**2)) - 1.0) > SCHMIDT_NORM_TOL:
         raise EigensolverFailure("Schmidt coefficients do not square-sum to one")
     return coeffs

@@ -31,6 +31,7 @@ PIVOT_TOL = 1e-9
 # phase-1 artificial residue below which the system counts as feasible
 FEAS_TOL = 1e-8
 RATIO_TIE_TOL = 1e-12
+NEGATIVE_BASIC_FLOOR = -1e-7  # a basic value below it fails, one above it is clipped to 0
 MAX_ITER = 20000
 
 
@@ -130,7 +131,7 @@ def _extract(tableau: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = tableau[:-1, -1][structural]
-    if x.min(initial=0.0) < -1e-7:
+    if x.min(initial=0.0) < NEGATIVE_BASIC_FLOOR:
         raise LpNumericalFailure("simplex produced a negative basic value")
     np.clip(x, 0.0, None, out=x)
     return x

@@ -13,7 +13,6 @@ import pytest
 
 from spinhv import (
     CorrelationPoint,
-    HermitianOperator,
     SpinValue,
     bell_operator,
     classical_bound,
@@ -129,7 +128,7 @@ def test_criterion_06_rotation_inequality_table():
 def test_criterion_07_operator_invariants():
     with _Stopwatch(7, "operator algebra for 2s <= 12", 10.0):
         for doubled in range(1, 13):
-            sx, sy, sz = (op.entries for op in spin_operators(SpinValue(doubled)))
+            sx, sy, sz = spin_operators(SpinValue(doubled))
             target = doubled * (doubled + 2) / 4.0 * np.eye(doubled + 1)
             assert np.linalg.norm(sx @ sx + sy @ sy + sz @ sz - target) <= 1e-10
             assert np.linalg.norm(sx @ sy - sy @ sx - 1j * sz) <= 1e-10
@@ -141,14 +140,14 @@ def test_criterion_08_rotated_singlet_identity():
         for doubled in (1, 2, 3, 4):
             s = SpinValue(doubled)
             reference = np.linalg.eigvalsh(
-                sum(np.kron(op.entries, op.entries) for op in spin_operators(s))
+                sum(np.kron(op, op) for op in spin_operators(s))
             )
             target = -doubled * (doubled + 2) / 4.0
             for _ in range(20):
                 C = _random_rotation(rng)
                 H = bell_operator(C, s)
                 assert abs(expectation(rotated_singlet(C, s), H) - target) <= 1e-8
-                assert np.max(np.abs(np.linalg.eigvalsh(H.entries) - reference)) <= 1e-8
+                assert np.max(np.abs(np.linalg.eigvalsh(H) - reference)) <= 1e-8
 
 
 def test_criterion_09_singlet_correlator():
@@ -158,7 +157,7 @@ def test_criterion_09_singlet_correlator():
             psi = singlet_state(s)
             target = -doubled * (doubled + 2) / 12.0
             for op in spin_operators(s):
-                pair = HermitianOperator(np.kron(op.entries, op.entries))
+                pair = np.kron(op, op)
                 assert abs(expectation(psi, pair) - target) <= 1e-10
 
 
@@ -167,7 +166,7 @@ def test_criterion_10_projection_zero_refutation():
         state = np.zeros(5)
         state[1] = 1.0  # |s=2, m=1>, basis ordered m = 2 down to -2
         for op in spin_operators(SpinValue(4)):
-            eigenvalues, eigenvectors = np.linalg.eigh(op.entries)
+            eigenvalues, eigenvectors = np.linalg.eigh(op)
             (zero,) = np.flatnonzero(np.abs(eigenvalues) <= 1e-8)
             assert abs(np.vdot(eigenvectors[:, zero], state)) ** 2 <= 1e-12
 
@@ -189,10 +188,10 @@ def test_criterion_12_polytope_separation():
     with _Stopwatch(12, "quantum point separates the conserving polytope only", 10.0):
         s = SpinValue(2)
         _, state = quantum_bound(EXAMPLE1, s)
-        ops = [op.entries for op in spin_operators(s)]
+        ops = spin_operators(s)
         entries = np.zeros((3, 3))
         for k, l in itertools.product(range(3), repeat=2):
-            entries[k, l] = expectation(state, HermitianOperator(np.kron(ops[k], ops[l])))
+            entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
         point = CorrelationPoint(entries)
 
         outside = membership(point, s, constrained=True)

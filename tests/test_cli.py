@@ -12,7 +12,6 @@ import pytest
 from spinhv import (
     CoefficientMatrix,
     DimensionMismatch,
-    HermitianOperator,
     InvalidInput,
     LpNumericalFailure,
     NonFiniteMatrix,
@@ -32,10 +31,10 @@ from spinhv import (
 from spinhv import errors
 from spinhv.assignments import conserving_target_doubled
 from spinhv.bounds import WITNESS_TOL
-from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, _parse_numbers, main
+from spinhv.cli import TABLE1_CLASSICAL_TOL, TABLE1_QUANTUM_TOL, WEIGHT_FLOOR, _parse_numbers, main
 from spinhv.matrices import EXAMPLE1, EXAMPLE3
-from spinhv.polytope import MEMBERSHIP_TOL, vertex_array_quadrupled
-from spinhv.quantum import EIG_RESIDUAL_TOL, _symmetry_blocks
+from spinhv.polytope import CORRELATOR_SLACK, MEMBERSHIP_TOL, RECONSTRUCTION_TOL, vertex_array_quadrupled
+from spinhv.quantum import EIG_RESIDUAL_TOL, SCHMIDT_NORM_TOL, _symmetry_blocks
 from spinhv.simplex import solve_equality_lp
 
 
@@ -116,7 +115,11 @@ class TestBoundsCommand:
         assert results["beta_quantum"] == pytest.approx(-2.5616, abs=5e-4)
         assert results["violates_constrained"] is True
         assert results["violates_unconstrained"] is False
-        assert report["tolerances"] == {"witness_check": WITNESS_TOL}
+        assert report["tolerances"] == {
+            "witness_check": WITNESS_TOL,
+            "eigen_residual": EIG_RESIDUAL_TOL,
+            "schmidt_square_sum": SCHMIDT_NORM_TOL,
+        }
 
     def test_example3(self, capsys):
         code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", "4")
@@ -236,7 +239,7 @@ class TestBoundsCommand:
             np.savetxt(path, matrix)
             code, report = run_cli(capsys, "bounds", "--matrix", str(path), "--spin-doubled", "7")
             assert code == 0
-            reference = np.linalg.eigvalsh(bell_operator(matrix, s).entries)[0]
+            reference = np.linalg.eigvalsh(bell_operator(matrix, s))[0]
             scale = max(1.0, float(np.linalg.norm(matrix)) * s.value * (s.value + 1.0))
             assert abs(report["results"]["beta_quantum"] - reference) <= EIG_RESIDUAL_TOL * scale
 
@@ -261,7 +264,7 @@ class TestBoundsCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, report = run_cli(capsys, "bounds", "--matrix", str(path), "--spin-doubled", "7")
-            reference = np.linalg.eigvalsh(bell_operator(unit * 1e300, s).entries)[0]
+            reference = np.linalg.eigvalsh(bell_operator(unit * 1e300, s))[0]
         assert code == 0
         scale = 1e300 * float(np.linalg.norm(unit)) * s.value * (s.value + 1.0)
         assert np.isfinite(EIG_RESIDUAL_TOL * scale)
@@ -333,10 +336,10 @@ class TestMembershipCommand:
     def quantum_point_file(self, tmp_path):
         s = SpinValue(2)
         _, state = quantum_bound(EXAMPLE1, s)
-        ops = [op.entries for op in spin_operators(s)]
+        ops = spin_operators(s)
         entries = np.zeros((3, 3))
         for k, l in itertools.product(range(3), repeat=2):
-            entries[k, l] = expectation(state, HermitianOperator(np.kron(ops[k], ops[l])))
+            entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
         path = tmp_path / "point.txt"
         path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in entries))
         return path
@@ -347,7 +350,12 @@ class TestMembershipCommand:
             "--spin-doubled", "2", "--constrained",
         )
         assert code == 0
-        assert report["tolerances"] == {"membership": MEMBERSHIP_TOL}
+        assert report["tolerances"] == {
+            "membership": MEMBERSHIP_TOL,
+            "correlator_slack": CORRELATOR_SLACK,
+            "weight_floor": WEIGHT_FLOOR,
+            "reconstruction": RECONSTRUCTION_TOL,
+        }
         results = report["results"]
         assert results["inside"] is False
         assert results["functional_value_at_point"] < results["functional_bound"]
@@ -578,7 +586,7 @@ class TestParseNumbers:
 
 def _imaginary_expectation():
     # Hermitian within 1e-12 entrywise, yet <psi| op |psi> has imaginary part 1.6e-10
-    op = HermitianOperator(np.eye(400) + 4e-13j * np.ones((400, 400)))
+    op = np.eye(400) + 4e-13j * np.ones((400, 400))
     return expectation(StateVector(np.full(400, 0.05)), op)
 
 
@@ -589,9 +597,9 @@ class TestLibraryInputErrors:
         "call, cls",
         [
             (lambda: CoefficientMatrix(np.zeros((2, 2))), DimensionMismatch),
-            (lambda: HermitianOperator(np.zeros((2, 3))), DimensionMismatch),
-            (lambda: HermitianOperator(np.array([[math.nan]])), NonFiniteMatrix),
-            (lambda: HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]])), InvalidInput),
+            (lambda: expectation(StateVector(np.eye(2)[0]), np.zeros((2, 3))), DimensionMismatch),
+            (lambda: expectation(StateVector(np.ones(1)), np.array([[math.nan]])), NonFiniteMatrix),
+            (lambda: expectation(StateVector(np.eye(2)[0]), np.array([[0.0, 1.0], [0.0, 0.0]])), InvalidInput),
             (lambda: StateVector(np.array([math.inf, 0.0])), NonFiniteMatrix),
             (lambda: StateVector(np.array([1.0, 1.0])), InvalidInput),
             (_imaginary_expectation, InvalidInput),
@@ -650,3 +658,48 @@ class TestReportShape:
     def test_field_order(self, capsys):
         _, report = run_cli(capsys, "feasibility", "--spin-doubled", "2")
         assert list(report) == ["command", "version", "timestamp", "inputs", "tolerances", "results"]
+
+
+class TestReportSchema:
+    """The keys of each command's report at version 0.2.0: a change to them bumps the version."""
+
+    def keys(self, capsys, *argv):
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert list(report) == ["command", "version", "timestamp", "inputs", "tolerances", "results"]
+        assert report["version"] == "0.2.0"
+        return list(report["results"]), list(report["tolerances"])
+
+    def test_feasibility(self, capsys):
+        results, tolerances = self.keys(capsys, "feasibility", "--spin-doubled", "2")
+        assert results == [
+            "spin", "conserving_squared_sum", "feasible_by_formula", "feasible_by_enumeration",
+            "agreement", "constrained_assignments", "squared_magnitude_classes",
+        ]
+        assert tolerances == []
+
+    def test_bounds(self, capsys):
+        results, tolerances = self.keys(capsys, "bounds", "--matrix", "example1", "--spin-doubled", "2")
+        assert results == [
+            "beta_constrained", "beta_unconstrained", "beta_quantum", "constrained_infeasible",
+            "witness_constrained", "witness_unconstrained", "optimal_state_schmidt",
+            "violates_constrained", "violates_unconstrained", "diagnostics",
+        ]
+        assert tolerances == ["witness_check", "eigen_residual", "schmidt_square_sum"]
+
+    def test_table1(self, capsys):
+        results, tolerances = self.keys(capsys, "table1", "--max-spin-doubled", "2")
+        assert results == ["rows", "all_targets_passed"]
+        assert tolerances == ["classical_target", "quantum_target"]
+
+    def test_membership(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("0 0 0\n0 0 0\n0 0 0\n")
+        inside, tolerances = self.keys(capsys, "membership", "--point", str(path), "--spin-doubled", "2")
+        assert inside == ["inside", "weights", "reconstruction_residual", "diagnostics"]
+        assert tolerances == ["membership", "correlator_slack", "weight_floor", "reconstruction"]
+        path.write_text("1 1 1\n1 1 1\n1 1 1\n")
+        outside, _ = self.keys(capsys, "membership", "--point", str(path), "--spin-doubled", "2", "--constrained")
+        assert outside == [
+            "inside", "separating_functional", "functional_bound", "functional_value_at_point", "diagnostics",
+        ]

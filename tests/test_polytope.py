@@ -5,30 +5,28 @@ import pytest
 
 from spinhv import (
     CorrelationPoint,
-    HermitianOperator,
     InfeasibleSpin,
     LpNumericalFailure,
     SpinValue,
     classical_bound,
     enumerate_unconstrained,
     expectation,
-    inclusion_check,
     magnitude_feasible,
     membership,
     quantum_bound,
     spin_operators,
 )
 from spinhv.matrices import EXAMPLE1
-from spinhv.polytope import InclusionReport, vertex_array_quadrupled
+from spinhv.polytope import vertex_array_quadrupled
 
 
 def quantum_correlation_point(C, s: SpinValue) -> CorrelationPoint:
     """All nine correlators of the optimal eigenvector of the Bell operator."""
     _, state = quantum_bound(C, s)
-    ops = [op.entries for op in spin_operators(s)]
+    ops = spin_operators(s)
     entries = np.zeros((3, 3))
     for k, l in itertools.product(range(3), repeat=2):
-        entries[k, l] = expectation(state, HermitianOperator(np.kron(ops[k], ops[l])))
+        entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
     return CorrelationPoint(entries)
 
 
@@ -238,16 +236,22 @@ class TestClassicalBoundConsistency:
 
 
 class TestInclusion:
+    """The conserving polytope equals the standard one at 2s = 1 and lies strictly inside it
+    at every other feasible spin (the argument is in spinhv.polytope's docstring)."""
+
+    @staticmethod
+    def first_corner(s: SpinValue) -> CorrelationPoint:
+        return as_point(vertex_rows(s, False)[0])
+
     def test_half_spin_polytopes_coincide(self):
-        report = inclusion_check(SpinValue(1))
-        assert not report.strict
-        assert report.witness is None
+        s = SpinValue(1)
+        corners = vertex_rows(s, False)
+        assert len(corners) == 32
+        assert all(membership(as_point(row), s, constrained=True).inside for row in corners)
 
     def test_spin_one_strict(self):
-        report = inclusion_check(SpinValue(2))
-        assert report.strict
-        assert report.witness is not None
-        assert not report.witness_certificate.inside
+        s = SpinValue(2)
+        assert not membership(self.first_corner(s), s, constrained=True).inside
 
     def test_spin_one_all_ones_vertex_outside(self):
         # the product of two (1,1,1) assignments escapes the conserving hull
@@ -256,36 +260,23 @@ class TestInclusion:
         assert not result.inside
 
     def test_spin_two_strict(self):
-        report = inclusion_check(SpinValue(4))
-        assert report.strict
+        s = SpinValue(4)
+        assert not membership(self.first_corner(s), s, constrained=True).inside
 
     def test_infeasible_spin(self):
         with pytest.raises(InfeasibleSpin):
-            inclusion_check(SpinValue(3))
+            membership(self.first_corner(SpinValue(3)), SpinValue(3), constrained=True)
 
     def test_matches_the_corner_loop(self):
-        # the search over all 32 corner products that the closed form replaced
-        for doubled in range(1, 17):
+        # the first corner product is outside at every feasible 2s <= 16 but 1, with a
+        # functional at or above its bound on every conserving vertex and below it there
+        for doubled in range(2, 17):
             s = SpinValue(doubled)
             if not magnitude_feasible(s):
                 continue
-            expected = InclusionReport(strict=False)
-            for row in vertex_array_quadrupled(s, False):
-                candidate = CorrelationPoint(row.reshape(3, 3) / 4.0)
-                result = membership(candidate, s, constrained=True)
-                if not result.inside:
-                    expected = InclusionReport(True, candidate, result)
-                    break
-            report = inclusion_check(s)
-            assert report.strict == expected.strict == (doubled != 1)
-            if not expected.strict:
-                assert report.witness is None and report.witness_certificate is None
-                continue
-            assert np.array_equal(report.witness.entries, expected.witness.entries)
-            got, want = report.witness_certificate, expected.witness_certificate
-            assert not got.inside
-            assert np.array_equal(got.functional, want.functional)
-            assert (got.functional_bound, got.functional_value) == (
-                want.functional_bound,
-                want.functional_value,
-            )
+            point = self.first_corner(s)
+            result = membership(point, s, constrained=True)
+            assert not result.inside
+            assert np.all(vertex_rows(s, True) @ result.functional >= result.functional_bound)
+            assert float(result.functional @ point.flat()) == result.functional_value
+            assert result.functional_value < result.functional_bound

@@ -6,7 +6,6 @@ import pytest
 from spinhv import (
     DimensionMismatch,
     EigensolverFailure,
-    HermitianOperator,
     NotARotation,
     SpinValue,
     StateVector,
@@ -49,27 +48,27 @@ class TestSpinOperators:
     def test_half_spin(self):
         sx, sy, sz = spin_operators(SpinValue(1))
         for op in (sx, sy, sz):
-            assert op.dim == 2
-            assert np.allclose(np.linalg.eigvalsh(op.entries), [-0.5, 0.5])
+            assert op.shape == (2, 2)
+            assert np.allclose(np.linalg.eigvalsh(op), [-0.5, 0.5])
 
     def test_spin_one_z_diagonal(self):
         _, _, sz = spin_operators(SpinValue(2))
-        assert np.allclose(sz.entries, np.diag([1.0, 0.0, -1.0]))
+        assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]))
 
     def test_spin_two_spectra(self):
         for op in spin_operators(SpinValue(4)):
-            assert np.allclose(np.linalg.eigvalsh(op.entries), [-2, -1, 0, 1, 2])
+            assert np.allclose(np.linalg.eigvalsh(op), [-2, -1, 0, 1, 2])
 
     def test_squared_sum_identity(self):
         for doubled in range(1, 13):
             ops = spin_operators(SpinValue(doubled))
-            total = sum(op.entries @ op.entries for op in ops)
+            total = sum(op @ op for op in ops)
             target = spin_squared(doubled) * np.eye(doubled + 1)
             assert np.linalg.norm(total - target) <= 1e-10
 
     def test_commutators(self):
         for doubled in range(1, 13):
-            sx, sy, sz = (op.entries for op in spin_operators(SpinValue(doubled)))
+            sx, sy, sz = spin_operators(SpinValue(doubled))
             assert np.linalg.norm(sx @ sy - sy @ sx - 1j * sz) <= 1e-10
             assert np.linalg.norm(sy @ sz - sz @ sy - 1j * sx) <= 1e-10
             assert np.linalg.norm(sz @ sx - sx @ sz - 1j * sy) <= 1e-10
@@ -82,7 +81,7 @@ class TestSpinOperators:
             raising = np.diag(np.sqrt(sval * (sval + 1.0) - m[1:] * (m[1:] + 1.0)), k=1)
             expected = ((raising + raising.T) / 2.0, (raising - raising.T) / 2.0j, np.diag(m))
             for op, reference in zip(spin_operators(SpinValue(doubled)), expected):
-                assert np.array_equal(op.entries, reference)
+                assert np.array_equal(op, reference)
 
     def test_unsupported_spin(self):
         with pytest.raises(UnsupportedSpin):
@@ -94,17 +93,17 @@ class TestSpinOperators:
 class TestBellOperator:
     def test_identity_half_spin(self):
         H = bell_operator(IDENTITY, SpinValue(1))
-        assert np.linalg.eigvalsh(H.entries)[0] == pytest.approx(-0.75, abs=1e-12)
+        assert np.linalg.eigvalsh(H)[0] == pytest.approx(-0.75, abs=1e-12)
 
     def test_zero_matrix(self):
         H = bell_operator(np.zeros((3, 3)), SpinValue(4))
-        assert np.all(H.entries == 0)
+        assert np.all(H == 0)
 
     def test_example1_dimension_and_minimum(self):
         H = bell_operator(EXAMPLE1, SpinValue(2))
-        assert H.dim == 9
+        assert H.shape == (9, 9)
         expected = -(1.0 + math.sqrt(17.0)) / 2.0
-        assert np.linalg.eigvalsh(H.entries)[0] == pytest.approx(expected, abs=1e-9)
+        assert np.linalg.eigvalsh(H)[0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestQuantumBound:
@@ -158,7 +157,7 @@ class TestDiagonalReduction:
         s = SpinValue(doubled)
         d = doubled + 1
         for C in _oracle_matrices():
-            H = bell_operator(C, s).entries
+            H = bell_operator(C, s)
             eigenvalues, eigenvectors = np.linalg.eigh(H)
             value, state = quantum_bound(C, s)
             assert abs(value - eigenvalues[0]) <= 1e-10 * max(1.0, abs(eigenvalues[0]))
@@ -187,7 +186,7 @@ class TestDiagonalReduction:
             amps = rng.normal(size=(doubled + 1) ** 2) + 1j * rng.normal(size=(doubled + 1) ** 2)
             state = StateVector(amps / np.linalg.norm(amps))
             for C in _oracle_matrices():
-                dense = bell_operator(C, s).entries @ state.amplitudes
+                dense = bell_operator(C, s) @ state.amplitudes
                 scale = max(1.0, float(np.linalg.norm(C)) * spin_squared(doubled))
                 assert np.linalg.norm(bell_action(C, s, state) - dense) <= 1e-14 * scale
 
@@ -219,7 +218,7 @@ class TestQuantumValue:
     def test_matches_dense_eigvalsh(self, doubled):
         s = SpinValue(doubled)
         for C in _oracle_matrices():
-            reference = np.linalg.eigvalsh(bell_operator(C, s).entries)[0]
+            reference = np.linalg.eigvalsh(bell_operator(C, s))[0]
             for value in (quantum_value(C, s)[0], quantum_bound(C, s)[0]):
                 assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
 
@@ -377,7 +376,7 @@ class TestSymmetryBlocks:
         table = _symmetry_blocks(doubled)
         assert table.members.shape == table.coefficients.shape == (table.sizes.sum(), 4)
         for sigma in (np.array([1.3, -0.4, -2.1]), np.array([2.0, 0.7, -0.7])):
-            dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries
+            dense = bell_operator(np.diag(sigma), SpinValue(doubled))
             assert np.max(np.abs(dense.imag)) == 0.0
             blocks = _diagonal_blocks(sigma, doubled)
             assert [len(block) for block in blocks] == table.sizes.tolist()
@@ -391,7 +390,7 @@ class TestSymmetryBlocks:
         sigma = np.array([1.3, -0.4, -2.1])
         d = doubled + 1
         phi = np.random.default_rng(doubled).normal(size=(d, d))
-        dense = bell_operator(np.diag(sigma), SpinValue(doubled)).entries @ phi.reshape(-1)
+        dense = bell_operator(np.diag(sigma), SpinValue(doubled)) @ phi.reshape(-1)
         applied = _action(np.diag(sigma * _SIGNS), doubled, phi)
         assert applied.dtype == float
         np.testing.assert_allclose(applied.reshape(-1), dense.real, rtol=0, atol=1e-12)
@@ -418,7 +417,7 @@ class TestSymmetryBlocks:
     def test_matches_dense_eigenvalue_above_20(self, doubled):
         s = SpinValue(doubled)
         for C in (EXAMPLE3, np.random.default_rng(25).normal(size=(3, 3))):
-            reference = np.linalg.eigvalsh(bell_operator(C, s).entries)[0]
+            reference = np.linalg.eigvalsh(bell_operator(C, s))[0]
             value = quantum_bound(C, s)[0]
             assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
 
@@ -504,7 +503,7 @@ def _sigma_of(C: np.ndarray) -> np.ndarray:
 
 def _assert_perron_minimum(C: np.ndarray, s: SpinValue, where: str) -> None:
     """The lesser Perron-block minimum, and quantum_value, equal the dense Bell operator's minimum."""
-    reference = _EIGVALSH(bell_operator(C, s).entries)[0]
+    reference = _EIGVALSH(bell_operator(C, s))[0]
     allowed = 1e-12 * max(1.0, abs(reference))
     lesser = min(_EIGVALSH(block)[0] for block in _diagonal_blocks(_sigma_of(C), s.doubled))
     assert abs(lesser - reference) <= allowed, where
@@ -601,7 +600,7 @@ class TestSolveGrid:
             assert diagnostics.eigvalsh_calls in (1, 2), name
             assert float(np.sum(schmidt**2)) == pytest.approx(1.0, abs=1e-12), name
             if doubled <= 12:
-                reference = _EIGVALSH(bell_operator(C, s).entries)[0]
+                reference = _EIGVALSH(bell_operator(C, s))[0]
                 assert abs(value - reference) <= tol, name
         # the zero matrix: tol is subnormal, and the solve neither overflows nor moves off 0
         assert quantum_value(np.zeros((3, 3)), s)[0] == 0.0
@@ -665,7 +664,7 @@ class TestSinglet:
     def test_spin_one_zz_correlator(self):
         s = SpinValue(2)
         _, _, sz = spin_operators(s)
-        op = HermitianOperator(np.kron(sz.entries, sz.entries))
+        op = np.kron(sz, sz)
         assert expectation(singlet_state(s), op) == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
     def test_correlators_isotropic(self):
@@ -674,7 +673,7 @@ class TestSinglet:
             psi = singlet_state(s)
             target = -spin_squared(doubled) / 3.0
             for op in spin_operators(s):
-                pair = HermitianOperator(np.kron(op.entries, op.entries))
+                pair = np.kron(op, op)
                 assert expectation(psi, pair) == pytest.approx(target, abs=1e-10)
 
     def test_rotation_invariance(self, random_rotation):
@@ -706,7 +705,7 @@ class TestRotationUnitary:
         rotations = _intertwining_rotations(random_rotation)
         for doubled in range(1, 41):
             s = SpinValue(doubled)
-            ops = np.array([op.entries for op in spin_operators(s)])
+            ops = np.array(spin_operators(s))
             for R in rotations:
                 U = rotation_unitary(s, R)
                 rotated = np.tensordot(R, ops, axes=1)
@@ -724,7 +723,7 @@ class TestRotationUnitary:
     def test_conjugation_for_z45(self):
         s = SpinValue(2)
         U = rotation_unitary(s, ROTATION_Z45)
-        ops = [op.entries for op in spin_operators(s)]
+        ops = spin_operators(s)
         for j in range(3):
             lhs = U @ ops[j] @ U.conj().T
             rhs = sum(ROTATION_Z45[j, k] * ops[k] for k in range(3))
@@ -768,10 +767,10 @@ class TestRotatedSinglet:
         rng = np.random.default_rng(41)
         for doubled in (1, 2, 3, 4):
             s = SpinValue(doubled)
-            reference = np.linalg.eigvalsh(bell_operator(IDENTITY, s).entries)
+            reference = np.linalg.eigvalsh(bell_operator(IDENTITY, s))
             for _ in range(5):
                 C = random_rotation(rng)
-                spectrum = np.linalg.eigvalsh(bell_operator(C, s).entries)
+                spectrum = np.linalg.eigvalsh(bell_operator(C, s))
                 assert np.max(np.abs(spectrum - reference)) <= 1e-8
             # minimal eigenvalue of S.S is exactly -s(s+1)
             assert reference[0] == pytest.approx(-spin_squared(doubled), abs=1e-9)
@@ -780,17 +779,17 @@ class TestRotatedSinglet:
 class TestExpectation:
     def test_identity_operator(self):
         state = singlet_state(SpinValue(2))
-        assert expectation(state, HermitianOperator(np.eye(9))) == pytest.approx(1.0)
+        assert expectation(state, np.eye(9)) == pytest.approx(1.0)
 
     def test_spin_two_xx(self):
         s = SpinValue(4)
         sx = spin_operators(s)[0]
-        op = HermitianOperator(np.kron(sx.entries, sx.entries))
+        op = np.kron(sx, sx)
         assert expectation(singlet_state(s), op) == pytest.approx(-2.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            expectation(singlet_state(SpinValue(1)), HermitianOperator(np.eye(9)))
+            expectation(singlet_state(SpinValue(1)), np.eye(9))
 
     def test_imaginary_residue_relative_to_the_operator(self):
         # entries near 1e7 leave an imaginary rounding residue up to about 1e-9
@@ -834,7 +833,7 @@ class TestSchmidt:
 
 def zero_projection_probability(state: np.ndarray, axis: int, doubled: int) -> float:
     """|<m=0 along the axis|state>|^2, the m = 0 eigenvector taken from eigh."""
-    eigenvalues, eigenvectors = np.linalg.eigh(spin_operators(SpinValue(doubled))[axis].entries)
+    eigenvalues, eigenvectors = np.linalg.eigh(spin_operators(SpinValue(doubled))[axis])
     (zero,) = np.flatnonzero(np.abs(eigenvalues) <= 1e-8)
     return abs(np.vdot(eigenvectors[:, zero], state)) ** 2
 
@@ -857,26 +856,27 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
 
     def test_hermiticity_validated(self):
-        with pytest.raises(ValueError):
-            HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            expectation(StateVector(np.eye(2)[0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_hermiticity_relative_to_the_entries(self):
         # a Bell operator conjugated by a local unitary keeps asymmetry near eps * max|entries|
         s = SpinValue(6)
-        B = bell_operator(1e3 * np.random.default_rng(1).normal(size=(3, 3)), s).entries
+        B = bell_operator(1e3 * np.random.default_rng(1).normal(size=(3, 3)), s)
         cyclic = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         u = rotation_unitary(s, cyclic)
         U = np.kron(u, u)
-        HermitianOperator(U @ B @ U.conj().T)
+        expectation(singlet_state(s), U @ B @ U.conj().T)
         with pytest.raises(ValueError):
-            HermitianOperator(1e6 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+            expectation(StateVector(np.eye(2)[0]), 1e6 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_non_finite_operator_rejected(self):
         # nan - nan and inf - inf pass the Hermiticity test, as nan > tol is False
+        state = StateVector(np.eye(2)[0])
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianOperator(np.full((2, 2), np.nan))
+            expectation(state, np.full((2, 2), np.nan))
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianOperator(np.diag([np.inf, 0.0]))
+            expectation(state, np.diag([np.inf, 0.0]))
 
     def test_non_finite_state_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
