@@ -37,12 +37,10 @@ from .number_theory import (
     magnitude_feasible,
 )
 from .polytope import (
-    CorrelationPoint,
     MembershipResult,
     membership,
 )
 from .quantum import (
-    StateVector,
     bell_action,
     bell_operator,
     expectation,
@@ -61,7 +59,6 @@ __all__ = [
     "BoundCheckFailure",
     "BoundsReport",
     "CoefficientMatrix",
-    "CorrelationPoint",
     "DimensionMismatch",
     "EigensolverFailure",
     "InfeasibleSpin",
@@ -73,7 +70,6 @@ __all__ = [
     "NumericalFailure",
     "SpinHvError",
     "SpinValue",
-    "StateVector",
     "UnsupportedSpin",
     "bell_action",
     "bell_operator",

@@ -27,7 +27,7 @@ from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report, violates
 from .errors import InvalidInput, NumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
-from .polytope import CORRELATOR_SLACK, MEMBERSHIP_TOL, RECONSTRUCTION_TOL, CorrelationPoint, membership
+from .polytope import CORRELATOR_SLACK, MEMBERSHIP_TOL, RECONSTRUCTION_TOL, membership
 from .quantum import EIG_RESIDUAL_TOL, MAX_SPIN_DOUBLED, SCHMIDT_NORM_TOL
 from .quantum import bell_action, quantum_value, rotated_singlet
 
@@ -214,7 +214,7 @@ def cmd_table1(args) -> tuple[dict, int]:
         beta, beta_bar = rep.beta_constrained, rep.beta_unconstrained
         minus_s_s_plus_1 = -conserving_target_doubled(s) / 4.0
         singlet = rotated_singlet(rotation, s)
-        measured = float(np.vdot(singlet.amplitudes, bell_action(rotation, s, singlet)).real)
+        measured = float(np.vdot(singlet, bell_action(rotation, singlet)).real)
         row = {
             "spin": str(s),
             "spin_doubled": doubled,
@@ -253,7 +253,7 @@ def cmd_membership(args) -> tuple[dict, int]:
     point_entries = _read_nine(args.point, "correlator")
     s = _spin(args.spin_doubled, MAX_SPIN_DOUBLED, "membership")
 
-    result = membership(CorrelationPoint(point_entries), s, constrained=args.constrained)
+    result = membership(point_entries, s, constrained=args.constrained)
 
     results: dict = {"inside": result.inside}
     if result.inside:

@@ -14,7 +14,7 @@ class InfeasibleSpin(InvalidInput):
 
 
 class NonFiniteMatrix(InvalidInput):
-    """A coefficient matrix or correlation point contains NaN or infinite entries."""
+    """A coefficient matrix, correlation point, state or operator contains NaN or infinite entries."""
 
 
 class UnsupportedSpin(InvalidInput):
@@ -22,7 +22,7 @@ class UnsupportedSpin(InvalidInput):
 
 
 class DimensionMismatch(InvalidInput):
-    """Operator and state dimensions disagree."""
+    """A state not square, an operator unlike its state, a coefficient matrix not 3x3, or LP A and b unequal."""
 
 
 class NotARotation(InvalidInput):

@@ -32,24 +32,6 @@ CORRELATOR_SLACK = 1e-9  # absolute slack of the input check max|correlator| <= 
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelationPoint:
-    """The nine two-party correlators <S_k S_l>, a real 3x3 array."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float).reshape(3, 3)
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteMatrix("correlation point has non-finite entries")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    def flat(self) -> np.ndarray:
-        return self.entries.reshape(9)
-
-
-@dataclass(frozen=True, eq=False)
 class MembershipResult:
     """Verdict plus certificate for one polytope membership query.
 
@@ -82,15 +64,18 @@ def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
     return np.unique(np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9), axis=0)
 
 
-def membership(point: CorrelationPoint, s: SpinValue, constrained: bool) -> MembershipResult:
+def membership(point, s: SpinValue, constrained: bool) -> MembershipResult:
     """Whether the point is a convex combination of the polytope's vertices.
 
-    Raises InvalidInput when a correlator exceeds s^2 or no conserving
-    assignment exists, and LpNumericalFailure when neither the weights nor
-    the separating functional can be certified at tolerance.
+    The point holds the nine correlators <S_k S_l>, 3x3 or flat.  Raises
+    NonFiniteMatrix on a non-finite one, InvalidInput when one exceeds s^2
+    or no conserving assignment exists, and LpNumericalFailure when neither
+    the weights nor the separating functional can be certified at tolerance.
     """
     s_val = s.doubled / 2.0
-    target = point.flat()
+    target = np.asarray(point, dtype=float).reshape(9)
+    if not np.all(np.isfinite(target)):
+        raise NonFiniteMatrix("correlation point has non-finite entries")
     if float(np.max(np.abs(target))) > s_val * s_val + CORRELATOR_SLACK:
         raise InvalidInput(f"correlators exceed s^2 = {s_val * s_val} for s = {s}")
     vertices = vertex_array_quadrupled(s, constrained) / 4.0  # (n, 9)

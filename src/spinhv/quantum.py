@@ -1,5 +1,7 @@
 """Spin-s operators, Bell operators, singlet states and their rotations.
 
+A two-party state is its complex (2s+1)-square amplitude matrix, party A as rows.
+
 The quantum bound beta_q is the least eigenvalue of the Bell operator
 B = sum_kl c_kl S_k (x) S_l.  It is found without forming B.  Write
 C = P diag(sigma) Q^T with P, Q proper rotations (a reflection in the SVD
@@ -112,34 +114,24 @@ EIG_RESIDUAL_TOL = 1e-9
 MAX_SPIN_DOUBLED = 40
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Unit-norm finite complex amplitude vector.
-
-    Bipartite states are indexed by (m_A, m_B) pairs, m = s, s-1, ..., -s,
-    row-major with party A as the slow index.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteMatrix("state vector has non-finite amplitudes")
-        if abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
-            raise InvalidInput("state vector is not normalized")
-        object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
-
 def _check_spin(s: SpinValue) -> None:
     if s.doubled > MAX_SPIN_DOUBLED:
         raise UnsupportedSpin(
             f"spin doubled value {s.doubled} outside supported range 1..{MAX_SPIN_DOUBLED}"
         )
+
+
+def _amplitudes(state) -> np.ndarray:
+    """A state as its complex (2s+1)-square amplitude matrix, party A as rows: 2s >= 1, finite, unit norm."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
+        raise DimensionMismatch(f"state of shape {psi.shape} is not a square amplitude matrix")
+    SpinValue(len(psi) - 1)  # a 1x1 state raises UnsupportedSpin
+    if not np.all(np.isfinite(psi)):
+        raise NonFiniteMatrix("state vector has non-finite amplitudes")
+    if abs(float(np.linalg.norm(psi)) - 1.0) > NORM_TOL:
+        raise InvalidInput("state vector is not normalized")
+    return psi
 
 
 # S_j = _PHASES[j] R_j over the real table R of _spin_matrices; S_j (x) S_j = _SIGNS[j] R_j (x) R_j
@@ -276,19 +268,17 @@ def bell_operator(C, s: SpinValue) -> np.ndarray:
     return sum(terms, np.zeros((dim, dim), dtype=complex))
 
 
-def bell_action(C, s: SpinValue, state: StateVector) -> np.ndarray:
-    """The amplitudes of (sum_kl c_kl S_k (x) S_l) |state>, without forming the operator.
+def bell_action(C, state) -> np.ndarray:
+    """The amplitude matrix of (sum_kl c_kl S_k (x) S_l) |state>, without forming the operator.
 
-    On the amplitude matrix Psi (party A as rows) S_k (x) S_l acts as
-    S_k Psi S_l^T = phase_k phase_l R_k Psi R_l^T.
+    The state is a (2s+1)-square amplitude matrix Psi, party A as rows, on
+    which S_k (x) S_l acts as S_k Psi S_l^T = phase_k phase_l R_k Psi R_l^T.
     """
     cm = as_coefficient_matrix(C)
-    _check_spin(s)
-    d = s.doubled + 1
-    if state.dim != d * d:
-        raise DimensionMismatch(f"state dim {state.dim} != bipartite dim {d * d} for spin {s}")
+    psi = _amplitudes(state)
+    _check_spin(SpinValue(len(psi) - 1))
     a = cm.entries * np.outer(_PHASES, _PHASES)
-    return _action(a, s.doubled, state.amplitudes.reshape(d, d)).reshape(-1)
+    return _action(a, len(psi) - 1, psi)
 
 
 def _action(a: np.ndarray, doubled: int, psi: np.ndarray) -> np.ndarray:
@@ -458,8 +448,8 @@ def quantum_value(C, s: SpinValue) -> tuple[float, np.ndarray, EigenDiagnostics]
     return lam, _singular_values(phi), diagnostics
 
 
-def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
-    """Minimal eigenvalue of the Bell operator and an optimal eigenvector.
+def quantum_bound(C, s: SpinValue) -> tuple[float, np.ndarray]:
+    """Minimal eigenvalue of the Bell operator and an optimal state, as an amplitude matrix.
 
     The value and its certificate are quantum_value's; the ground state of
     D is rotated back by U_P (x) U_Q, and its residual against the full C
@@ -468,17 +458,17 @@ def quantum_bound(C, s: SpinValue) -> tuple[float, StateVector]:
     lam, phi, p, q, diagnostics = _diagonal_solution(C, s)
     u_p = rotation_unitary(s, p.T)
     u_q = rotation_unitary(s, q.T)
-    state = StateVector(u_p @ phi @ u_q.T)
+    state = u_p @ phi @ u_q.T
     # an overflowing action gives an infinite or nan residual, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _norm(bell_action(C, s, state) - lam * state.amplitudes)
+        residual = _norm(bell_action(C, state) - lam * state)
     if not residual <= diagnostics.eigen_tolerance:
         raise EigensolverFailure(f"eigenpair residual {residual:.3e} exceeds tolerance")
     return lam, state
 
 
-def singlet_state(s: SpinValue) -> StateVector:
-    """The rotation-invariant total-spin-zero state of two spin-s parties.
+def singlet_state(s: SpinValue) -> np.ndarray:
+    """The rotation-invariant total-spin-zero state of two spin-s parties, as an amplitude matrix.
 
     Amplitude (-1)^(s-m) / sqrt(2s+1) at (m, -m) and zero elsewhere;
     the sign exponent s - m is an exact integer in doubled arithmetic.
@@ -486,7 +476,7 @@ def singlet_state(s: SpinValue) -> StateVector:
     _check_spin(s)
     d = s.doubled + 1
     # row i holds m = s - i, so -m sits in column d - 1 - i
-    return StateVector(np.fliplr(np.diag((-1.0) ** np.arange(d) / math.sqrt(d))))
+    return np.fliplr(np.diag((-1.0) ** np.arange(d) / math.sqrt(d))).astype(complex)
 
 
 def rotation_unitary(s: SpinValue, R) -> np.ndarray:
@@ -517,38 +507,32 @@ def rotation_unitary(s: SpinValue, R) -> np.ndarray:
     return unitary
 
 
-def rotated_singlet(C, s: SpinValue) -> StateVector:
+def rotated_singlet(C, s: SpinValue) -> np.ndarray:
     """The singlet with party B rotated by the unitary representing C."""
-    unitary = rotation_unitary(s, C)
-    d = s.doubled + 1
     # (1 (x) U) acts on the amplitude matrix as Psi U^T
-    return StateVector(singlet_state(s).amplitudes.reshape(d, d) @ unitary.T)
+    return singlet_state(s) @ rotation_unitary(s, C).T
 
 
-def expectation(state: StateVector, op) -> float:
-    """<state| op |state> of a finite square op, checked Hermitian and real to HERMITICITY_TOL, IMAGINARY_TOL."""
+def expectation(state, op) -> float:
+    """<state| op |state> of a finite op of side (2s+1)^2, Hermitian and real to HERMITICITY_TOL, IMAGINARY_TOL."""
+    psi = _amplitudes(state).ravel()
     m = np.asarray(op, dtype=complex)
-    if m.shape != (state.dim, state.dim):
-        raise DimensionMismatch(f"operator of shape {m.shape} for a state of dim {state.dim}")
+    if m.shape != (len(psi), len(psi)):
+        raise DimensionMismatch(f"operator of shape {m.shape} for a state of dim {len(psi)}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteMatrix("operator has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
         raise InvalidInput("matrix is not Hermitian within tolerance")
-    value = complex(np.vdot(state.amplitudes, m @ state.amplitudes))
+    value = complex(np.vdot(psi, m @ psi))
     if abs(value.imag) > IMAGINARY_TOL * scale:
         raise InvalidInput(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
 
-def schmidt_coefficients(state: StateVector, s: SpinValue) -> np.ndarray:
-    """Singular values of the bipartite amplitude matrix, descending."""
-    d = s.doubled + 1
-    if state.dim != d * d:
-        raise DimensionMismatch(
-            f"state dim {state.dim} is not bipartite for spin {s} (expected {d * d})"
-        )
-    return _singular_values(state.amplitudes.reshape(d, d))
+def schmidt_coefficients(state) -> np.ndarray:
+    """Singular values of the amplitude matrix, descending."""
+    return _singular_values(_amplitudes(state))
 
 
 def _singular_values(amplitudes: np.ndarray) -> np.ndarray:

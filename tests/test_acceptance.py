@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spinhv import (
-    CorrelationPoint,
     SpinValue,
     bell_operator,
     classical_bound,
@@ -174,7 +173,7 @@ def test_criterion_10_projection_zero_refutation():
 def test_criterion_11_optimal_state_schmidt_structure():
     with _Stopwatch(11, "example 1 optimal state has two equal Schmidt coefficients", 1.0):
         _, state = quantum_bound(EXAMPLE1, SpinValue(2))
-        coeffs = schmidt_coefficients(state, SpinValue(2))
+        coeffs = schmidt_coefficients(state)
         pairs = list(itertools.combinations(range(3), 2))
         equal = [(i, j) for i, j in pairs if abs(coeffs[i] - coeffs[j]) <= 1e-9]
         assert len(equal) == 1  # exactly one equal pair
@@ -192,7 +191,7 @@ def test_criterion_12_polytope_separation():
         entries = np.zeros((3, 3))
         for k, l in itertools.product(range(3), repeat=2):
             entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
-        point = CorrelationPoint(entries)
+        point = entries.ravel()
 
         outside = membership(point, s, constrained=True)
         assert not outside.inside
@@ -203,7 +202,7 @@ def test_criterion_12_polytope_separation():
         inside = membership(point, s, constrained=False)
         assert inside.inside
         recon = (vertex_array_quadrupled(s, False) / 4.0).T @ inside.weights
-        assert np.max(np.abs(recon - point.flat())) <= 1e-7
+        assert np.max(np.abs(recon - point)) <= 1e-7
 
 
 def test_criterion_13_random_matrix_properties():

@@ -18,7 +18,6 @@ from spinhv import (
     NumericalFailure,
     SpinHvError,
     SpinValue,
-    StateVector,
     bell_operator,
     enumerate_constrained,
     expectation,
@@ -479,7 +478,7 @@ class TestBoundsCertificate:
 
         s = SpinValue(4)
         value, state = quantum_bound(EXAMPLE3, s)
-        schmidt = schmidt_coefficients(state, s)
+        schmidt = schmidt_coefficients(state)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the bounds path")
@@ -584,10 +583,14 @@ class TestParseNumbers:
             _parse_numbers(f"0 {token}", "m.txt")
 
 
+# |1/2, 1/2> (x) |1/2, 1/2>, a valid state of side 2
+_UP_UP = np.diag([1.0, 0.0])
+
+
 def _imaginary_expectation():
     # Hermitian within 1e-12 entrywise, yet <psi| op |psi> has imaginary part 1.6e-10
     op = np.eye(400) + 4e-13j * np.ones((400, 400))
-    return expectation(StateVector(np.full(400, 0.05)), op)
+    return expectation(np.full((20, 20), 0.05), op)
 
 
 class TestLibraryInputErrors:
@@ -597,11 +600,11 @@ class TestLibraryInputErrors:
         "call, cls",
         [
             (lambda: CoefficientMatrix(np.zeros((2, 2))), DimensionMismatch),
-            (lambda: expectation(StateVector(np.eye(2)[0]), np.zeros((2, 3))), DimensionMismatch),
-            (lambda: expectation(StateVector(np.ones(1)), np.array([[math.nan]])), NonFiniteMatrix),
-            (lambda: expectation(StateVector(np.eye(2)[0]), np.array([[0.0, 1.0], [0.0, 0.0]])), InvalidInput),
-            (lambda: StateVector(np.array([math.inf, 0.0])), NonFiniteMatrix),
-            (lambda: StateVector(np.array([1.0, 1.0])), InvalidInput),
+            (lambda: expectation(_UP_UP, np.zeros((4, 3))), DimensionMismatch),
+            (lambda: expectation(_UP_UP, np.full((4, 4), math.nan)), NonFiniteMatrix),
+            (lambda: expectation(_UP_UP, np.eye(4, k=1)), InvalidInput),
+            (lambda: schmidt_coefficients(np.diag([math.inf, 0.0])), NonFiniteMatrix),
+            (lambda: schmidt_coefficients(np.ones((2, 2))), InvalidInput),
             (_imaginary_expectation, InvalidInput),
             (lambda: solve_equality_lp(np.eye(2), np.ones(3)), DimensionMismatch),
             (lambda: is_sum_of_three_squares(-1), InvalidInput),

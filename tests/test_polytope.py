@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spinhv import (
-    CorrelationPoint,
     InfeasibleSpin,
     LpNumericalFailure,
+    NonFiniteMatrix,
     SpinValue,
     classical_bound,
     enumerate_unconstrained,
@@ -20,14 +20,14 @@ from spinhv.matrices import EXAMPLE1
 from spinhv.polytope import vertex_array_quadrupled
 
 
-def quantum_correlation_point(C, s: SpinValue) -> CorrelationPoint:
-    """All nine correlators of the optimal eigenvector of the Bell operator."""
+def quantum_correlation_point(C, s: SpinValue) -> np.ndarray:
+    """All nine correlators of the optimal eigenvector of the Bell operator, a 3x3 array."""
     _, state = quantum_bound(C, s)
     ops = spin_operators(s)
     entries = np.zeros((3, 3))
     for k, l in itertools.product(range(3), repeat=2):
         entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
-    return CorrelationPoint(entries)
+    return entries
 
 
 def full_grid_products(doubled: int) -> np.ndarray:
@@ -43,10 +43,6 @@ def full_grid_products(doubled: int) -> np.ndarray:
 def vertex_rows(s: SpinValue, constrained: bool) -> np.ndarray:
     """The polytope's (n, 9) correlator rows in canonical order."""
     return vertex_array_quadrupled(s, constrained) / 4.0
-
-
-def as_point(row: np.ndarray) -> CorrelationPoint:
-    return CorrelationPoint(row.reshape(3, 3))
 
 
 def certificate_is_sound(result, vertices: np.ndarray, point: np.ndarray) -> bool:
@@ -94,7 +90,7 @@ class TestMembership:
         s = SpinValue(2)
         vertices = vertex_rows(s, constrained=True)
         for row in vertices[::7]:
-            result = membership(as_point(row), s, constrained=True)
+            result = membership(row, s, constrained=True)
             assert result.inside
             assert np.max(np.abs(vertices.T @ result.weights - row)) <= 1e-7
 
@@ -102,7 +98,7 @@ class TestMembership:
         s = SpinValue(1)
         all_plus = [row for row in vertex_rows(s, constrained=False) if np.all(row == 0.25)]
         assert len(all_plus) == 1
-        result = membership(as_point(all_plus[0]), s, constrained=False)
+        result = membership(all_plus[0], s, constrained=False)
         assert result.inside
         assert result.weights.max() == pytest.approx(1.0, abs=1e-9)
 
@@ -111,7 +107,7 @@ class TestMembership:
         point = quantum_correlation_point(EXAMPLE1, s)
         result = membership(point, s, constrained=True)
         assert not result.inside
-        assert certificate_is_sound(result, vertex_rows(s, True), point.flat())
+        assert certificate_is_sound(result, vertex_rows(s, True), point.ravel())
 
     def test_quantum_point_inside_standard_polytope(self):
         s = SpinValue(2)
@@ -120,18 +116,18 @@ class TestMembership:
         assert result.inside
         vertices = vertex_rows(s, False)
         recon = vertices.T @ result.weights
-        assert np.max(np.abs(recon - point.flat())) <= 1e-7
+        assert np.max(np.abs(recon - point.ravel())) <= 1e-7
         assert result.weights.sum() == pytest.approx(1.0, abs=1e-8)
         # the result carries the rows its weights index and their residual
         assert np.array_equal(result.vertices, vertices)
-        assert result.reconstruction_residual == float(np.max(np.abs(recon - point.flat())))
+        assert result.reconstruction_residual == float(np.max(np.abs(recon - point.ravel())))
 
     def test_example1_inequality_value_below_conserving_bound(self):
         # the quantum point violates the inequality the matrix defines
         s = SpinValue(2)
         point = quantum_correlation_point(EXAMPLE1, s)
         beta = classical_bound(EXAMPLE1, s, constrained=True)[0]
-        assert float((EXAMPLE1 * point.entries).sum()) < beta
+        assert float((EXAMPLE1 * point).sum()) < beta
 
     def test_random_mixtures_inside(self):
         rng = np.random.default_rng(61)
@@ -140,20 +136,27 @@ class TestMembership:
             vertices = vertex_rows(s, constrained=True)
             for _ in range(100):
                 weights = rng.dirichlet(np.ones(len(vertices)))
-                mix = CorrelationPoint((weights @ vertices).reshape(3, 3))
+                mix = (weights @ vertices).reshape(3, 3)
                 assert membership(mix, s, constrained=True).inside
 
     def test_far_corner_outside(self):
         s = SpinValue(4)
-        corner = CorrelationPoint(np.full((3, 3), -4.0))  # all correlators at -s^2
+        corner = np.full((3, 3), -4.0)  # all correlators at -s^2
         result = membership(corner, s, constrained=True)
         assert not result.inside
-        assert certificate_is_sound(result, vertex_rows(s, True), corner.flat())
+        assert certificate_is_sound(result, vertex_rows(s, True), corner.ravel())
 
     def test_entry_bound_validated(self):
-        too_big = CorrelationPoint(np.full((3, 3), 4.0))
+        too_big = np.full((3, 3), 4.0)
         with pytest.raises(ValueError):
             membership(too_big, SpinValue(2), constrained=False)
+
+    def test_non_finite_point_rejected(self):
+        for value in (np.nan, np.inf):
+            point = np.zeros(9)
+            point[4] = value
+            with pytest.raises(NonFiniteMatrix, match="correlation point has non-finite entries"):
+                membership(point, SpinValue(2), constrained=False)
 
     @pytest.mark.xfail(
         strict=True,
@@ -165,7 +168,7 @@ class TestMembership:
         s = SpinValue(5)
         vertices = vertex_rows(s, constrained=True)
         point = (1 - 1e-9) * vertices[588] + 1e-9 * vertices[867]
-        result = membership(as_point(point), s, constrained=True)
+        result = membership(point, s, constrained=True)
         assert result.inside
         assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
 
@@ -187,7 +190,7 @@ class TestCornerPolytope:
         if doubled == 4:  # all 7351 take seconds; a seeded sample
             grid = grid[np.random.default_rng(71).choice(len(grid), size=200, replace=False)]
         for row in grid:
-            result = membership(CorrelationPoint(row.reshape(3, 3) / 4.0), s, constrained=False)
+            result = membership(row / 4.0, s, constrained=False)
             assert result.inside
             assert result.reconstruction_residual <= 1e-7
 
@@ -199,21 +202,21 @@ class TestCornerPolytope:
             box = doubled * doubled / 4.0
             grid = full_grid_products(doubled) / 4.0
             for _ in range(20):
-                point = CorrelationPoint(rng.uniform(-box, box, size=(3, 3)))
+                point = rng.uniform(-box, box, size=(3, 3))
                 result = membership(point, s, constrained=False)
                 if not result.inside:
                     outside += 1
-                    assert certificate_is_sound(result, grid, point.flat())
+                    assert certificate_is_sound(result, grid, point.ravel())
         assert outside >= 40
 
     @pytest.mark.parametrize("doubled", [2, 4])
     def test_constrained_vertices_inside_standard(self, doubled):
         s = SpinValue(doubled)
         for row in vertex_rows(s, constrained=True):
-            assert membership(as_point(row), s, constrained=False).inside
+            assert membership(row, s, constrained=False).inside
 
     def test_origin_inside_at_every_cli_spin(self):
-        origin = CorrelationPoint(np.zeros((3, 3)))
+        origin = np.zeros((3, 3))
         for doubled in range(1, 41):
             result = membership(origin, SpinValue(doubled), constrained=False)
             assert result.inside, doubled
@@ -240,14 +243,14 @@ class TestInclusion:
     at every other feasible spin (the argument is in spinhv.polytope's docstring)."""
 
     @staticmethod
-    def first_corner(s: SpinValue) -> CorrelationPoint:
-        return as_point(vertex_rows(s, False)[0])
+    def first_corner(s: SpinValue) -> np.ndarray:
+        return vertex_rows(s, False)[0]
 
     def test_half_spin_polytopes_coincide(self):
         s = SpinValue(1)
         corners = vertex_rows(s, False)
         assert len(corners) == 32
-        assert all(membership(as_point(row), s, constrained=True).inside for row in corners)
+        assert all(membership(row, s, constrained=True).inside for row in corners)
 
     def test_spin_one_strict(self):
         s = SpinValue(2)
@@ -255,7 +258,7 @@ class TestInclusion:
 
     def test_spin_one_all_ones_vertex_outside(self):
         # the product of two (1,1,1) assignments escapes the conserving hull
-        point = CorrelationPoint(np.ones((3, 3)))
+        point = np.ones((3, 3))
         result = membership(point, SpinValue(2), constrained=True)
         assert not result.inside
 
@@ -278,5 +281,5 @@ class TestInclusion:
             result = membership(point, s, constrained=True)
             assert not result.inside
             assert np.all(vertex_rows(s, True) @ result.functional >= result.functional_bound)
-            assert float(result.functional @ point.flat()) == result.functional_value
+            assert float(result.functional @ point.ravel()) == result.functional_value
             assert result.functional_value < result.functional_bound

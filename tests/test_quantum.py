@@ -6,9 +6,10 @@ import pytest
 from spinhv import (
     DimensionMismatch,
     EigensolverFailure,
+    InvalidInput,
+    NonFiniteMatrix,
     NotARotation,
     SpinValue,
-    StateVector,
     UnsupportedSpin,
     bell_action,
     bell_operator,
@@ -110,7 +111,7 @@ class TestQuantumBound:
     def test_example1(self):
         value, state = quantum_bound(EXAMPLE1, SpinValue(2))
         assert value == pytest.approx(-(1.0 + math.sqrt(17.0)) / 2.0, abs=1e-9)
-        assert state.dim == 9
+        assert state.shape == (3, 3)
 
     def test_example2(self):
         value, _ = quantum_bound(EXAMPLE2, SpinValue(2))
@@ -129,6 +130,10 @@ class TestQuantumBound:
         for C, doubled in ((EXAMPLE1, 2), (EXAMPLE2, 2), (EXAMPLE3, 4)):
             beta = classical_bound(C, SpinValue(doubled), constrained=True)[0]
             assert quantum_bound(C, SpinValue(doubled))[0] < beta
+
+
+# unit-norm arrays that are no amplitude matrix; a flat vector is not reshaped
+_NON_SQUARE = (np.ones((2, 3)) / math.sqrt(6.0), np.eye(4)[0], np.ones((1, 2, 2)) / 2.0)
 
 
 def _oracle_matrices() -> list[np.ndarray]:
@@ -162,13 +167,13 @@ class TestDiagonalReduction:
             value, state = quantum_bound(C, s)
             assert abs(value - eigenvalues[0]) <= 1e-10 * max(1.0, abs(eigenvalues[0]))
             scale = max(1.0, float(np.linalg.norm(C)) * spin_squared(doubled))
-            residual = np.linalg.norm(H @ state.amplitudes - value * state.amplitudes)
+            residual = np.linalg.norm(H @ state.ravel() - value * state.ravel())
             assert residual <= EIG_RESIDUAL_TOL * scale
             # a degenerate ground state has no unique Schmidt coefficients, and
             # both paths resolve an eigenvector to about eps * scale / gap
             if eigenvalues[1] - eigenvalues[0] > 1e-6 * scale:
                 dense = np.linalg.svd(eigenvectors[:, 0].reshape(d, d), compute_uv=False)
-                assert np.max(np.abs(schmidt_coefficients(state, s) - dense)) <= 1e-8
+                assert np.max(np.abs(schmidt_coefficients(state) - dense)) <= 1e-8
 
     def test_random_matrices_never_raise(self):
         rng = np.random.default_rng(7)
@@ -176,23 +181,25 @@ class TestDiagonalReduction:
         for _ in range(200):
             C = rng.normal(size=(3, 3))
             value, state = quantum_bound(C, s)
-            assert np.linalg.norm(bell_action(C, s, state) - value * state.amplitudes) <= 1e-9
+            assert np.linalg.norm(bell_action(C, state) - value * state) <= 1e-9
 
     def test_bell_action_matches_dense_operator(self):
         # built-in, random, integer, rank-deficient and reflected C
         rng = np.random.default_rng(11)
         for doubled in range(1, 13):
             s = SpinValue(doubled)
-            amps = rng.normal(size=(doubled + 1) ** 2) + 1j * rng.normal(size=(doubled + 1) ** 2)
-            state = StateVector(amps / np.linalg.norm(amps))
+            shape = (doubled + 1, doubled + 1)
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            state = amps / np.linalg.norm(amps)
             for C in _oracle_matrices():
-                dense = bell_operator(C, s) @ state.amplitudes
+                dense = bell_operator(C, s) @ state.ravel()
                 scale = max(1.0, float(np.linalg.norm(C)) * spin_squared(doubled))
-                assert np.linalg.norm(bell_action(C, s, state) - dense) <= 1e-14 * scale
+                assert np.linalg.norm(bell_action(C, state).ravel() - dense) <= 1e-14 * scale
 
     def test_bell_action_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            bell_action(IDENTITY, SpinValue(2), singlet_state(SpinValue(1)))
+        for state in _NON_SQUARE:
+            with pytest.raises(DimensionMismatch, match="not a square amplitude matrix"):
+                bell_action(IDENTITY, state)
 
 
 def _value_matrices(doubled: int) -> list[np.ndarray]:
@@ -212,7 +219,7 @@ class TestQuantumValue:
             value, schmidt, _ = quantum_value(C, s)
             reference, state = quantum_bound(C, s)
             assert value == reference
-            assert np.max(np.abs(schmidt - schmidt_coefficients(state, s))) <= 1e-12
+            assert np.max(np.abs(schmidt - schmidt_coefficients(state))) <= 1e-12
 
     @pytest.mark.parametrize("doubled", range(1, 11))
     def test_matches_dense_eigvalsh(self, doubled):
@@ -659,7 +666,7 @@ class TestSinglet:
     def test_half_spin_amplitudes(self):
         state = singlet_state(SpinValue(1))
         expected = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2  # (|+-> - |-+>)/sqrt(2)
-        assert np.allclose(state.amplitudes, expected)
+        assert np.allclose(state.ravel(), expected)
 
     def test_spin_one_zz_correlator(self):
         s = SpinValue(2)
@@ -680,7 +687,7 @@ class TestSinglet:
         rng = np.random.default_rng(23)
         for doubled in (1, 2, 3, 4):
             s = SpinValue(doubled)
-            psi = singlet_state(s).amplitudes
+            psi = singlet_state(s).ravel()
             for _ in range(5):
                 U = rotation_unitary(s, random_rotation(rng))
                 rotated = np.kron(U, U) @ psi
@@ -790,6 +797,9 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(singlet_state(SpinValue(1)), np.eye(9))
+        for state in _NON_SQUARE:
+            with pytest.raises(DimensionMismatch, match="not a square amplitude matrix"):
+                expectation(state, np.eye(np.size(state)))
 
     def test_imaginary_residue_relative_to_the_operator(self):
         # entries near 1e7 leave an imaginary rounding residue up to about 1e-9
@@ -803,32 +813,32 @@ class TestExpectation:
 
 class TestSchmidt:
     def test_singlet_is_maximally_entangled(self):
-        coeffs = schmidt_coefficients(singlet_state(SpinValue(2)), SpinValue(2))
+        coeffs = schmidt_coefficients(singlet_state(SpinValue(2)))
         assert np.allclose(coeffs, np.full(3, 1.0 / math.sqrt(3.0)))
 
     def test_product_state(self):
-        d = 3
-        amps = np.zeros(d * d, dtype=complex)
-        amps[0] = 1.0  # |m=1> (x) |m=1>
-        coeffs = schmidt_coefficients(StateVector(amps), SpinValue(2))
+        amps = np.zeros((3, 3), dtype=complex)
+        amps[0, 0] = 1.0  # |m=1> (x) |m=1>
+        coeffs = schmidt_coefficients(amps)
         assert np.allclose(coeffs, [1.0, 0.0, 0.0])
 
     def test_example1_optimal_state_structure(self):
         _, state = quantum_bound(EXAMPLE1, SpinValue(2))
-        coeffs = schmidt_coefficients(state, SpinValue(2))
+        coeffs = schmidt_coefficients(state)
         assert abs(coeffs[1] - coeffs[2]) <= 1e-9  # two equal coefficients
         assert coeffs[0] - coeffs[1] > 1e-6  # third one distinct
         assert coeffs[2] > 1e-6  # and nonzero
 
     def test_descending_and_normalized(self):
         _, state = quantum_bound(EXAMPLE3, SpinValue(4))
-        coeffs = schmidt_coefficients(state, SpinValue(4))
+        coeffs = schmidt_coefficients(state)
         assert np.all(np.diff(coeffs) <= 0)
         assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            schmidt_coefficients(singlet_state(SpinValue(1)), SpinValue(2))
+        for state in _NON_SQUARE:
+            with pytest.raises(DimensionMismatch, match="not a square amplitude matrix"):
+                schmidt_coefficients(state)
 
 
 def zero_projection_probability(state: np.ndarray, axis: int, doubled: int) -> float:
@@ -850,14 +860,48 @@ class TestProjectionProbability:
         assert zero_projection_probability(self.STATE, 1, 4) <= 1e-12
 
 
-class TestStateVector:
+# the three entry points of a state from outside, each called on one state
+_STATE_CALLS = (
+    lambda state: bell_action(IDENTITY, state),
+    lambda state: expectation(state, np.eye(np.size(state))),
+    schmidt_coefficients,
+)
+# |1/2, 1/2> (x) |1/2, 1/2>, the smallest valid state
+_UP_UP = np.diag([1.0, 0.0])
+
+
+class TestInputChecks:
+    """A state's checks in bell_action, expectation and schmidt_coefficients; an operator's in expectation."""
+
     def test_norm_validated(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]))
+        for call in _STATE_CALLS:
+            with pytest.raises(InvalidInput, match="not normalized"):
+                call(np.ones((2, 2)))
+
+    def test_one_by_one_state_rejected(self):
+        for call in _STATE_CALLS:
+            # side 1 is 2s = 0
+            with pytest.raises(UnsupportedSpin, match="2s = 0"):
+                call(np.ones((1, 1)))
+
+    def test_non_finite_state_rejected(self):
+        for call in _STATE_CALLS:
+            for state in (np.diag([np.nan, 0.0]), np.diag([np.inf, 1.0])):
+                with pytest.raises(NonFiniteMatrix, match="non-finite"):
+                    call(state)
+
+    def test_spin_caps(self):
+        # only bell_action caps 2s at MAX_SPIN_DOUBLED; the other two take any side
+        state = np.zeros((42, 42))
+        state[0, 0] = 1.0
+        with pytest.raises(UnsupportedSpin):
+            bell_action(IDENTITY, state)
+        assert np.array_equal(schmidt_coefficients(state), np.eye(42)[0])
+        assert expectation(state, np.eye(42 * 42)) == 1.0
 
     def test_hermiticity_validated(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            expectation(StateVector(np.eye(2)[0]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+            expectation(_UP_UP, np.eye(4, k=1))
 
     def test_hermiticity_relative_to_the_entries(self):
         # a Bell operator conjugated by a local unitary keeps asymmetry near eps * max|entries|
@@ -868,18 +912,11 @@ class TestStateVector:
         U = np.kron(u, u)
         expectation(singlet_state(s), U @ B @ U.conj().T)
         with pytest.raises(ValueError):
-            expectation(StateVector(np.eye(2)[0]), 1e6 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+            expectation(_UP_UP, 1e6 * np.eye(4, k=1))
 
     def test_non_finite_operator_rejected(self):
         # nan - nan and inf - inf pass the Hermiticity test, as nan > tol is False
-        state = StateVector(np.eye(2)[0])
         with pytest.raises(ValueError, match="non-finite"):
-            expectation(state, np.full((2, 2), np.nan))
+            expectation(_UP_UP, np.full((4, 4), np.nan))
         with pytest.raises(ValueError, match="non-finite"):
-            expectation(state, np.diag([np.inf, 0.0]))
-
-    def test_non_finite_state_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            StateVector(np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError, match="non-finite"):
-            StateVector(np.array([np.inf, 1.0]))
+            expectation(_UP_UP, np.diag([np.inf, 0.0, 0.0, 0.0]))
