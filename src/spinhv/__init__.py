@@ -13,7 +13,6 @@ from .assignments import (
 )
 from .bounds import (
     BoundsReport,
-    CoefficientMatrix,
     bounds_report,
     classical_bound,
     classical_bound_bruteforce,
@@ -58,7 +57,6 @@ __version__ = "0.2.0"
 __all__ = [
     "BoundCheckFailure",
     "BoundsReport",
-    "CoefficientMatrix",
     "DimensionMismatch",
     "EigensolverFailure",
     "InfeasibleSpin",

@@ -17,7 +17,6 @@ earlier minimizing pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,42 +26,18 @@ from .number_theory import SpinValue
 
 # resolution at which minima are considered tied, relative to the largest |entry| of the pair table
 TIE_TOL = 1e-12
-ROTATION_TOL = 1e-12
 # witness and undercut checks allow WITNESS_TOL * max(|beta|, min(1, 9 s^2 max|c_kl|))
 WITNESS_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientMatrix:
-    """Real 3x3 matrix of inequality coefficients, rows/columns in x, y, z order."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (3, 3):
-            raise DimensionMismatch(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteMatrix("coefficient matrix has non-finite entries")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @cached_property
-    def is_rotation(self) -> bool:
-        """Orthogonal with determinant +1, both within ROTATION_TOL."""
-        m = self.entries
-        # a finite matrix may still overflow here; it is then no rotation
-        with np.errstate(over="ignore", invalid="ignore"):
-            orthogonal = float(np.max(np.abs(m.T @ m - np.eye(3)))) <= ROTATION_TOL
-            unit_det = abs(float(np.linalg.det(m)) - 1.0) <= ROTATION_TOL
-        return orthogonal and unit_det
-
-
-def as_coefficient_matrix(C) -> CoefficientMatrix:
-    if isinstance(C, CoefficientMatrix):
-        return C
-    return CoefficientMatrix(np.asarray(C, dtype=float))
+def as_coefficient_matrix(C) -> np.ndarray:
+    """C as a float array, not copied, checked to be finite and 3x3; rows/columns in x, y, z order."""
+    m = np.asarray(C, dtype=float)
+    if m.shape != (3, 3):
+        raise DimensionMismatch(f"expected a 3x3 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteMatrix("coefficient matrix has non-finite entries")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +75,11 @@ def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
     return best, i, j
 
 
-def _minimize(cm: CoefficientMatrix, doubled: np.ndarray) -> tuple[float, np.ndarray]:
+def _minimize(c: np.ndarray, doubled: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum of a . C . b with a and b both ranging over the doubled rows."""
     values = doubled / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        table = values @ (cm.entries @ values.T)
+        table = values @ (c @ values.T)
     if not np.all(np.isfinite(table)):
         raise BoundCheckFailure("pair table overflows to non-finite values")
     best, i, j = _select_pair(table)
@@ -133,7 +108,7 @@ def classical_bound_bruteforce(C, s: SpinValue, constrained: bool) -> tuple[floa
     return _minimize(as_coefficient_matrix(C), rows)
 
 
-def _check_tol(cm: CoefficientMatrix, s: SpinValue, beta: float) -> float:
+def _check_tol(c: np.ndarray, s: SpinValue, beta: float) -> float:
     """The allowance of the witness, undercut and violation checks for a bound beta.
 
     9 s^2 max|c_kl| bounds every |a . C . b| over the spectrum box, so the
@@ -141,7 +116,7 @@ def _check_tol(cm: CoefficientMatrix, s: SpinValue, beta: float) -> float:
     window does, and a wrong witness of a tiny matrix still fails.  The
     allowance is never above WITNESS_TOL * max(1, |beta|).
     """
-    magnitude = 9.0 * s.value**2 * float(np.max(np.abs(cm.entries)))
+    magnitude = 9.0 * s.value**2 * float(np.max(np.abs(c)))
     return WITNESS_TOL * max(abs(beta), min(1.0, magnitude))
 
 
@@ -154,9 +129,9 @@ def violates(C, s: SpinValue, beta_q: float, beta: float) -> bool:
     return bool(beta_q < beta - _check_tol(as_coefficient_matrix(C), s, beta))
 
 
-def _witness_reproduces(cm: CoefficientMatrix, s: SpinValue, pair: np.ndarray, beta: float) -> bool:
+def _witness_reproduces(c: np.ndarray, s: SpinValue, pair: np.ndarray, beta: float) -> bool:
     a, b = pair / 2.0
-    return abs(float(a @ cm.entries @ b) - beta) <= _check_tol(cm, s, beta)
+    return abs(float(a @ c @ b) - beta) <= _check_tol(c, s, beta)
 
 
 def bounds_report(C, s: SpinValue) -> BoundsReport:
@@ -166,16 +141,16 @@ def bounds_report(C, s: SpinValue) -> BoundsReport:
     or the conserving bound falls below the standard one, both relative
     to the scale of the bound and of the matrix (_check_tol).
     """
-    cm = as_coefficient_matrix(C)
-    beta_bar, w_bar = classical_bound(cm, s, constrained=False)
-    if not _witness_reproduces(cm, s, w_bar, beta_bar):
+    c = as_coefficient_matrix(C)
+    beta_bar, w_bar = classical_bound(c, s, constrained=False)
+    if not _witness_reproduces(c, s, w_bar, beta_bar):
         raise BoundCheckFailure("witness does not reproduce its bound")
     try:
-        beta, w = classical_bound(cm, s, constrained=True)
+        beta, w = classical_bound(c, s, constrained=True)
     except InfeasibleSpin:
         return BoundsReport(None, beta_bar, None, w_bar)
-    if not _witness_reproduces(cm, s, w, beta):
+    if not _witness_reproduces(c, s, w, beta):
         raise BoundCheckFailure("witness does not reproduce its bound")
-    if beta < beta_bar - _check_tol(cm, s, beta_bar):
+    if beta < beta_bar - _check_tol(c, s, beta_bar):
         raise BoundCheckFailure("constrained bound undercuts the unconstrained one")
     return BoundsReport(beta, beta_bar, w, w_bar)

@@ -23,7 +23,7 @@ from .assignments import (
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
-from .bounds import WITNESS_TOL, CoefficientMatrix, bounds_report, violates
+from .bounds import WITNESS_TOL, bounds_report, violates
 from .errors import InvalidInput, NumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
@@ -174,9 +174,8 @@ def cmd_bounds(args) -> tuple[dict, int]:
     s = _spin(args.spin_doubled, MAX_SPIN_DOUBLED, "bounds")
     inputs["spin_doubled"] = s.doubled
 
-    cm = CoefficientMatrix(matrix)
-    rep = bounds_report(cm, s)
-    beta_q, schmidt, diagnostics = quantum_value(cm, s)
+    rep = bounds_report(matrix, s)
+    beta_q, schmidt, diagnostics = quantum_value(matrix, s)
 
     results = {
         "beta_constrained": rep.beta_constrained,
@@ -187,9 +186,9 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "witness_unconstrained": _witness_payload(rep.witness_unconstrained),
         "optimal_state_schmidt": [float(v) for v in schmidt],
         "violates_constrained": (
-            None if rep.beta_constrained is None else violates(cm, s, beta_q, rep.beta_constrained)
+            None if rep.beta_constrained is None else violates(matrix, s, beta_q, rep.beta_constrained)
         ),
-        "violates_unconstrained": violates(cm, s, beta_q, rep.beta_unconstrained),
+        "violates_unconstrained": violates(matrix, s, beta_q, rep.beta_unconstrained),
         "diagnostics": asdict(diagnostics),
     }
     tolerances = {
@@ -204,17 +203,15 @@ def cmd_bounds(args) -> tuple[dict, int]:
 def cmd_table1(args) -> tuple[dict, int]:
     max_s = _spin(args.max_spin_doubled, MAX_SPIN_DOUBLED, "table1")
 
-    # one wrapper, so its checks and cached is_rotation serve every spin
-    rotation = CoefficientMatrix(ROTATION_Z45)
     rows = []
     mismatch = False
     for doubled in range(1, max_s.doubled + 1):
         s = SpinValue(doubled)
-        rep = bounds_report(rotation, s)
+        rep = bounds_report(ROTATION_Z45, s)
         beta, beta_bar = rep.beta_constrained, rep.beta_unconstrained
         minus_s_s_plus_1 = -conserving_target_doubled(s) / 4.0
-        singlet = rotated_singlet(rotation, s)
-        measured = float(np.vdot(singlet, bell_action(rotation, singlet)).real)
+        singlet = rotated_singlet(ROTATION_Z45, s)
+        measured = float(np.vdot(singlet, bell_action(ROTATION_Z45, singlet)).real)
         row = {
             "spin": str(s),
             "spin_doubled": doubled,

@@ -26,7 +26,7 @@ class SpinValue:
     doubled: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.doubled, int):
+        if not isinstance(self.doubled, int) or isinstance(self.doubled, bool):
             raise TypeError(f"doubled must be an int, got {type(self.doubled).__name__}")
         if self.doubled < 1:
             raise UnsupportedSpin(f"spin magnitude must be positive, got 2s = {self.doubled}")

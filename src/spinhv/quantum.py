@@ -106,6 +106,7 @@ from .number_theory import SpinValue
 HERMITICITY_TOL = 1e-12  # on max|op - op^+|, relative to max(1, max|op|)
 IMAGINARY_TOL = 1e-10  # on |Im <state| op |state>|, relative to the same scale
 NORM_TOL = 1e-12
+ROTATION_TOL = 1e-12
 SCHMIDT_NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
@@ -261,10 +262,10 @@ def bell_operator(C, s: SpinValue) -> np.ndarray:
     Dense (2s+1)^2-square complex reference for tests.  bounds solves in
     D's frame; quantum_bound and table1 apply B through bell_action.
     """
-    cm = as_coefficient_matrix(C)
+    entries = as_coefficient_matrix(C)
     ops = spin_operators(s)
     dim = (s.doubled + 1) ** 2
-    terms = (c * np.kron(ops[k], ops[l]) for (k, l), c in np.ndenumerate(cm.entries) if c != 0.0)
+    terms = (c * np.kron(ops[k], ops[l]) for (k, l), c in np.ndenumerate(entries) if c != 0.0)
     return sum(terms, np.zeros((dim, dim), dtype=complex))
 
 
@@ -274,10 +275,10 @@ def bell_action(C, state) -> np.ndarray:
     The state is a (2s+1)-square amplitude matrix Psi, party A as rows, on
     which S_k (x) S_l acts as S_k Psi S_l^T = phase_k phase_l R_k Psi R_l^T.
     """
-    cm = as_coefficient_matrix(C)
+    c = as_coefficient_matrix(C)
     psi = _amplitudes(state)
     _check_spin(SpinValue(len(psi) - 1))
-    a = cm.entries * np.outer(_PHASES, _PHASES)
+    a = c * np.outer(_PHASES, _PHASES)
     return _action(a, len(psi) - 1, psi)
 
 
@@ -406,13 +407,13 @@ def _diagonal_solution(C, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, 
     are taken overflow-safe, and a tol that is not finite, which would pass
     any residual, raises EigensolverFailure before the solve.
     """
-    cm = as_coefficient_matrix(C)
+    c = as_coefficient_matrix(C)
     _check_spin(s)
-    scale = _norm(cm.entries) * s.value * (s.value + 1.0)
+    scale = _norm(c) * s.value * (s.value + 1.0)
     tol = EIG_RESIDUAL_TOL * max(scale, np.finfo(float).tiny)
     if not math.isfinite(tol):
         raise EigensolverFailure("eigenpair tolerance overflows for this matrix and spin")
-    p, sigma, qt = np.linalg.svd(cm.entries)
+    p, sigma, qt = np.linalg.svd(c)
     q = qt.T
     for factor in (p, q):
         if np.linalg.det(factor) < 0:
@@ -423,7 +424,7 @@ def _diagonal_solution(C, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, 
     # an overflow gives an infinite or nan residual or gap, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _norm(_action(np.diag(sigma * _SIGNS), s.doubled, phi) - lam * phi)
-        gap = s.value**2 * _svd_gap(cm.entries, p, sigma, q)
+        gap = s.value**2 * _svd_gap(c, p, sigma, q)
     if not residual + gap <= tol:
         raise EigensolverFailure(
             f"eigenpair residual {residual:.3e} plus SVD gap {gap:.3e} exceeds tolerance"
@@ -485,16 +486,21 @@ def rotation_unitary(s: SpinValue, R) -> np.ndarray:
     U maps the standard basis of S to that of T_j = sum_k R_jk S_k: column
     m is the eigenvector of T_z for m, with phases that make every
     <m+1| T_x + i T_y |m> real and positive, as <m+1| S_+ |m> is.  The
-    T_j obey the spin commutators only for det R = +1, so any other R
-    raises NotARotation.  U is defined only up to a global phase.
+    T_j obey the spin commutators only for det R = +1, so an R not
+    orthogonal with determinant +1, both within ROTATION_TOL, raises
+    NotARotation.  U is defined only up to a global phase.
     """
-    cm = as_coefficient_matrix(R)
-    if not cm.is_rotation:
+    r = as_coefficient_matrix(R)
+    # a finite matrix may still overflow here; it is then no rotation
+    with np.errstate(over="ignore", invalid="ignore"):
+        orthogonal = float(np.max(np.abs(r.T @ r - np.eye(3)))) <= ROTATION_TOL
+        unit_det = abs(float(np.linalg.det(r)) - 1.0) <= ROTATION_TOL
+    if not (orthogonal and unit_det):
         raise NotARotation("matrix is not orthogonal with determinant +1")
     _check_spin(s)
     d = s.doubled + 1
     # T_z and T_+ = T_x + i T_y over the real table, S_k = phase_k R_k
-    rows = np.array([cm.entries[2], cm.entries[0] + 1j * cm.entries[1]]) * _PHASES
+    rows = np.array([r[2], r[0] + 1j * r[1]]) * _PHASES
     t_z, t_plus = (rows @ _spin_matrices(s.doubled).reshape(3, d * d)).reshape(2, d, d)
     # eigh orders m = -s .. s; t_m = <v_{m+1}| T_+ |v_m> sets the phase of v_{m+1}
     vectors = np.linalg.eigh(t_z)[1]

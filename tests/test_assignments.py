@@ -149,7 +149,7 @@ class TestExtremeAssignments:
 
     def test_witnesses_and_vertex_order_from_fresh_rows(self):
         from spinhv import classical_bound
-        from spinhv.bounds import CoefficientMatrix, _minimize
+        from spinhv.bounds import _minimize
         from spinhv.polytope import vertex_array_quadrupled
 
         rng = np.random.default_rng(8)
@@ -159,7 +159,7 @@ class TestExtremeAssignments:
             fresh = enumerate_constrained(s)
             for C in (rng.normal(size=(3, 3)), rng.integers(-2, 3, size=(3, 3)).astype(float)):
                 value, witness = classical_bound(C, s, constrained=True)
-                reference = _minimize(CoefficientMatrix(C), fresh)
+                reference = _minimize(C, fresh)
                 assert value == reference[0]
                 assert np.array_equal(witness, reference[1])
             products = np.einsum("ik,jl->ijkl", fresh, fresh).reshape(-1, 9)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,36 +8,73 @@ import pytest
 import spinhv.bounds as bounds_module
 from spinhv import (
     BoundCheckFailure,
-    CoefficientMatrix,
+    DimensionMismatch,
     InfeasibleSpin,
     NonFiniteMatrix,
     SpinValue,
+    bell_action,
+    bell_operator,
     bounds_report,
     classical_bound,
     classical_bound_bruteforce,
+    quantum_bound,
+    quantum_value,
+    rotated_singlet,
+    rotation_unitary,
+    singlet_state,
 )
+from spinhv.bounds import violates
 from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRICES, ROTATION_Z45
 
 SQRT2 = math.sqrt(2.0)
 
 
-class TestCoefficientMatrix:
-    def test_rotation_flag(self):
-        assert CoefficientMatrix(ROTATION_Z45).is_rotation
-        assert CoefficientMatrix(IDENTITY).is_rotation
-        assert not CoefficientMatrix(EXAMPLE1).is_rotation
-        # orthogonal but determinant -1
-        reflection = np.diag([1.0, 1.0, -1.0])
-        assert not CoefficientMatrix(reflection).is_rotation
+# every public function that takes a coefficient matrix, at 2s = 2; the rotation
+# functions need a proper rotation, so the valid C of the checks below is one
+_TAKES_C = {
+    "classical_bound": lambda C: classical_bound(C, SpinValue(2), True),
+    "classical_bound_bruteforce": lambda C: classical_bound_bruteforce(C, SpinValue(2), False),
+    "bounds_report": lambda C: bounds_report(C, SpinValue(2)),
+    "violates": lambda C: violates(C, SpinValue(2), -2.0, -1.0),
+    "quantum_value": lambda C: quantum_value(C, SpinValue(2)),
+    "quantum_bound": lambda C: quantum_bound(C, SpinValue(2)),
+    "bell_operator": lambda C: bell_operator(C, SpinValue(2)),
+    "bell_action": lambda C: bell_action(C, singlet_state(SpinValue(2))),
+    "rotation_unitary": lambda C: rotation_unitary(SpinValue(2), C),
+    "rotated_singlet": lambda C: rotated_singlet(C, SpinValue(2)),
+}
+
+
+def _leaves(result) -> list:
+    """The numbers of a result, dataclasses and tuples flattened, for an exact comparison."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        return [leaf for part in result for leaf in _leaves(part)]
+    return [None] if result is None else np.ravel(result).tolist()
+
+
+class TestMatrixChecks:
+    """Each function that takes C checks it as as_coefficient_matrix does."""
 
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, 0, 0], [0, np.nan, 0], [0, 0, 1.0]])
-        with pytest.raises(NonFiniteMatrix):
-            CoefficientMatrix(bad)
+        for name, call in _TAKES_C.items():
+            with pytest.raises(NonFiniteMatrix, match="coefficient matrix has non-finite entries"):
+                call(bad)
 
     def test_shape_rejected(self):
-        with pytest.raises(ValueError):
-            CoefficientMatrix(np.eye(2))
+        for name, call in _TAKES_C.items():
+            with pytest.raises(DimensionMismatch, match=re.escape("expected a 3x3 matrix, got shape (2, 2)")):
+                call(np.eye(2))
+
+    @pytest.mark.parametrize("name", list(_TAKES_C))
+    def test_nested_list_and_caller_array(self, name):
+        C = ROTATION_Z45.copy()
+        expected = _leaves(_TAKES_C[name](C))
+        assert _leaves(_TAKES_C[name](ROTATION_Z45.tolist())) == expected
+        # no copy is made, and none is needed: C is left as it was and still writeable
+        assert np.array_equal(C, ROTATION_Z45) and C.flags.writeable
 
 
 class TestExampleBounds:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from spinhv import (
-    CoefficientMatrix,
     DimensionMismatch,
     InvalidInput,
     LpNumericalFailure,
@@ -19,6 +18,7 @@ from spinhv import (
     SpinHvError,
     SpinValue,
     bell_operator,
+    classical_bound,
     enumerate_constrained,
     expectation,
     is_sum_of_three_squares,
@@ -599,7 +599,7 @@ class TestLibraryInputErrors:
     @pytest.mark.parametrize(
         "call, cls",
         [
-            (lambda: CoefficientMatrix(np.zeros((2, 2))), DimensionMismatch),
+            (lambda: classical_bound(np.zeros((2, 2)), SpinValue(2), True), DimensionMismatch),
             (lambda: expectation(_UP_UP, np.zeros((4, 3))), DimensionMismatch),
             (lambda: expectation(_UP_UP, np.full((4, 4), math.nan)), NonFiniteMatrix),
             (lambda: expectation(_UP_UP, np.eye(4, k=1)), InvalidInput),

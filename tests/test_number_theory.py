@@ -43,6 +43,12 @@ class TestSpinValue:
         with pytest.raises(TypeError):
             SpinValue(1.5)
 
+    def test_rejects_bool(self):
+        # a bool is an int subclass, so True would otherwise read as spin 1/2
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="doubled must be an int, got bool"):
+                SpinValue(flag)
+
     def test_rejects_nonpositive(self):
         for doubled in (0, -2):
             with pytest.raises(UnsupportedSpin):

@@ -742,11 +742,15 @@ class TestRotationUnitary:
             U = rotation_unitary(SpinValue(doubled), random_rotation(rng))
             assert np.linalg.norm(U.conj().T @ U - np.eye(doubled + 1)) <= 1e-10
 
+    # the all-1e200 matrix overflows the rotation test, which must say NotARotation without a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_not_a_rotation(self):
         # a reflection's T_j break [T_x, T_y] = i T_z, so no unitary intertwines them
-        for C in (EXAMPLE1, np.diag([1.0, 1.0, -1.0]), -ROTATION_Z45):
+        for C in (EXAMPLE1, np.diag([1.0, 1.0, -1.0]), -ROTATION_Z45, np.full((3, 3), 1e200)):
             with pytest.raises(NotARotation):
                 rotation_unitary(SpinValue(2), C)
+            with pytest.raises(NotARotation):
+                rotated_singlet(C, SpinValue(2))
 
 
 class TestRotatedSinglet:
