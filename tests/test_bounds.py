@@ -11,6 +11,7 @@ from spinhv import (
     DimensionMismatch,
     InfeasibleSpin,
     NonFiniteMatrix,
+    NotARotation,
     SpinValue,
     bell_action,
     bell_operator,
@@ -52,6 +53,17 @@ def _leaves(result) -> list:
     if isinstance(result, tuple):
         return [leaf for part in result for leaf in _leaves(part)]
     return [None] if result is None else np.ravel(result).tolist()
+
+
+class TestCoefficientMatrix:
+    def test_rotation_flag(self):
+        # a proper rotation C is accepted where one is needed, any other C refused
+        for C in (ROTATION_Z45, IDENTITY):
+            assert rotation_unitary(SpinValue(2), C).shape == (3, 3)
+        # EXAMPLE1 is not orthogonal; the reflection is orthogonal but has determinant -1
+        for C in (EXAMPLE1, np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(NotARotation):
+                rotation_unitary(SpinValue(2), C)
 
 
 class TestMatrixChecks:
