@@ -1,7 +1,9 @@
 """Command-line interface emitting machine-readable JSON run reports.
 
-Exit codes: 0 success, 2 invalid input (an InvalidInput error), 3 built-in
-target mismatch, 4 internal numerical failure (a NumericalFailure error).
+Each cmd_* returns (inputs, tolerances, results, exit code), and main wraps
+them in the one report envelope of _report.  Exit codes: 0 success, 2
+invalid input (an InvalidInput error), 3 built-in target mismatch, 4
+internal numerical failure (a NumericalFailure error).
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def _quarter(key: int, s: SpinValue) -> str:
     return f"{key}/4" if s.doubled % 2 else str(key // 4)
 
 
-def cmd_feasibility(args) -> tuple[dict, int]:
+def cmd_feasibility(args) -> tuple[dict, dict, dict, int]:
     s = _spin(args.spin_doubled, MAX_FORMULA_DOUBLED, "feasibility")
     formula = magnitude_feasible(s)
     oracle = feasible_by_enumeration(s) if s.doubled <= MAX_ORACLE_DOUBLED else None
@@ -160,16 +162,10 @@ def cmd_feasibility(args) -> tuple[dict, int]:
             {"squared_sum": _quarter(key, s), "count": classes[key]}
             for key in sorted(classes, reverse=True)
         ]
-    report = _report(
-        "feasibility",
-        {"spin_doubled": s.doubled},
-        {},
-        results,
-    )
-    return report, 3 if agree is False else 0
+    return {"spin_doubled": s.doubled}, {}, results, 3 if agree is False else 0
 
 
-def cmd_bounds(args) -> tuple[dict, int]:
+def cmd_bounds(args) -> tuple[dict, dict, dict, int]:
     matrix, inputs = _load_matrix(args.matrix)
     s = _spin(args.spin_doubled, MAX_SPIN_DOUBLED, "bounds")
     inputs["spin_doubled"] = s.doubled
@@ -196,11 +192,10 @@ def cmd_bounds(args) -> tuple[dict, int]:
         "eigen_residual": EIG_RESIDUAL_TOL,
         "schmidt_square_sum": SCHMIDT_NORM_TOL,
     }
-    report = _report("bounds", inputs, tolerances, results)
-    return report, 0
+    return inputs, tolerances, results, 0
 
 
-def cmd_table1(args) -> tuple[dict, int]:
+def cmd_table1(args) -> tuple[dict, dict, dict, int]:
     max_s = _spin(args.max_spin_doubled, MAX_SPIN_DOUBLED, "table1")
 
     rows = []
@@ -237,16 +232,15 @@ def cmd_table1(args) -> tuple[dict, int]:
                 mismatch = True
         rows.append(row)
 
-    report = _report(
-        "table1",
+    return (
         {"max_spin_doubled": max_s.doubled, "matrix": "eq9-rotation"},
         {"classical_target": TABLE1_CLASSICAL_TOL, "quantum_target": TABLE1_QUANTUM_TOL},
         {"rows": rows, "all_targets_passed": not mismatch},
+        3 if mismatch else 0,
     )
-    return report, 3 if mismatch else 0
 
 
-def cmd_membership(args) -> tuple[dict, int]:
+def cmd_membership(args) -> tuple[dict, dict, dict, int]:
     point_entries = _read_nine(args.point, "correlator")
     s = _spin(args.spin_doubled, MAX_SPIN_DOUBLED, "membership")
 
@@ -274,23 +268,19 @@ def cmd_membership(args) -> tuple[dict, int]:
         "lp_degenerate_pivots": result.lp.degenerate_pivots,
     }
 
-    report = _report(
-        "membership",
-        {
-            "point": args.point,
-            "entries": _listify(point_entries),
-            "spin_doubled": s.doubled,
-            "constrained": args.constrained,
-        },
-        {
-            "membership": MEMBERSHIP_TOL,
-            "correlator_slack": CORRELATOR_SLACK,
-            "weight_floor": WEIGHT_FLOOR,
-            "reconstruction": RECONSTRUCTION_TOL,
-        },
-        results,
-    )
-    return report, 0
+    inputs = {
+        "point": args.point,
+        "entries": _listify(point_entries),
+        "spin_doubled": s.doubled,
+        "constrained": args.constrained,
+    }
+    tolerances = {
+        "membership": MEMBERSHIP_TOL,
+        "correlator_slack": CORRELATOR_SLACK,
+        "weight_floor": WEIGHT_FLOOR,
+        "reconstruction": RECONSTRUCTION_TOL,
+    }
+    return inputs, tolerances, results, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,25 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report, code = args.func(args)
+        inputs, tolerances, results, code = args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    report = _report(args.subcommand, inputs, tolerances, results)
     # the report on one line in one write: without indent, json.dumps takes
     # the C encoder; `python3 -m json.tool` pretty-prints it
     sys.stdout.write(json.dumps(report) + "\n")
     return code
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -26,4 +26,7 @@ NAMED_MATRICES = {
     "eq9-rotation": ROTATION_Z45,
     "identity": IDENTITY,
 }
+# shared by every solve in the process: an in-place edit raises ValueError
+for _matrix in NAMED_MATRICES.values():
+    _matrix.setflags(write=False)
 

@@ -89,6 +89,18 @@ class TestMatrixChecks:
         assert np.array_equal(C, ROTATION_Z45) and C.flags.writeable
 
 
+@pytest.mark.parametrize("name", list(NAMED_MATRICES))
+def test_named_matrices_are_read_only(name):
+    # every solve in a process shares them, so an in-place edit would move every later answer
+    matrix = NAMED_MATRICES[name]
+    before = matrix.copy()
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        matrix *= 2.0
+    assert np.array_equal(matrix, before)
+
+
 class TestExampleBounds:
     def test_example1(self):
         s = SpinValue(2)

@@ -16,6 +16,7 @@ from spinhv import (
     quantum_bound,
     spin_operators,
 )
+from spinhv.assignments import extreme_assignments
 from spinhv.matrices import EXAMPLE1
 from spinhv.polytope import vertex_array_quadrupled
 
@@ -83,6 +84,26 @@ class TestVertexCorrelations:
         assert quad.dtype.kind == "i"
         # the correlators are quarter-integers, so dividing by 4 is exact
         assert np.array_equal(vertex_rows(SpinValue(2), True) * 4.0, quad)
+
+
+class TestSignPairing:
+    """a (x) b = (-a) (x) (-b) is the only coincidence: n assignments give n^2 / 2 vertices,
+    a set closed under negation, so every vertex v has its partner -v."""
+
+    def test_half_the_pairs_and_closed_under_negation(self):
+        cases = 0
+        for doubled in range(1, 41):
+            s = SpinValue(doubled)
+            for constrained in (False, True):
+                if constrained and not magnitude_feasible(s):
+                    continue
+                n = len(extreme_assignments(s, constrained))
+                vertices = vertex_array_quadrupled(s, constrained)
+                where = f"2s = {doubled}, constrained = {constrained}"
+                assert n % 2 == 0 and len(vertices) == n * n // 2, where
+                assert np.array_equal(np.unique(-vertices, axis=0), vertices), where
+                cases += 1
+        assert cases == 67
 
 
 class TestMembership:
