@@ -112,11 +112,7 @@ def _load_matrix(source: str) -> tuple[np.ndarray, dict]:
         raise InvalidInput(
             f"matrix {source!r} is neither a built-in name ({', '.join(sorted(NAMED_MATRICES))}) nor a file"
         )
-    return matrix, {"matrix": source, "entries": _listify(matrix)}
-
-
-def _listify(array: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(array)]
+    return matrix, {"matrix": source, "entries": matrix.tolist()}
 
 
 def _spin(doubled: int, high: int, what: str) -> SpinValue:
@@ -180,7 +176,7 @@ def cmd_bounds(args) -> tuple[dict, dict, dict, int]:
         "constrained_infeasible": rep.constrained_infeasible,
         "witness_constrained": _witness_payload(rep.witness_constrained),
         "witness_unconstrained": _witness_payload(rep.witness_unconstrained),
-        "optimal_state_schmidt": [float(v) for v in schmidt],
+        "optimal_state_schmidt": schmidt.tolist(),
         "violates_constrained": (
             None if rep.beta_constrained is None else violates(matrix, s, beta_q, rep.beta_constrained)
         ),
@@ -253,13 +249,13 @@ def cmd_membership(args) -> tuple[dict, dict, dict, int]:
             {
                 "vertex_index": int(i),
                 "weight": float(result.weights[i]),
-                "correlators": [float(v) for v in result.vertices[i]],
+                "correlators": result.vertices[i].tolist(),
             }
             for i in nonzero
         ]
         results["reconstruction_residual"] = result.reconstruction_residual
     else:
-        results["separating_functional"] = [float(v) for v in result.functional]
+        results["separating_functional"] = result.functional.tolist()
         results["functional_bound"] = result.functional_bound
         results["functional_value_at_point"] = result.functional_value
     results["diagnostics"] = {
@@ -270,7 +266,7 @@ def cmd_membership(args) -> tuple[dict, dict, dict, int]:
 
     inputs = {
         "point": args.point,
-        "entries": _listify(point_entries),
+        "entries": point_entries.tolist(),
         "spin_doubled": s.doubled,
         "constrained": args.constrained,
     }

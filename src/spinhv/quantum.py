@@ -43,8 +43,9 @@ ground vector fixed by both.  Undoing the conjugation, sector p has a
 ground state with flip character (-1)^(2s) and swap character (-1)^p.  So
 the least eigenvalue of D is the lesser of the least eigenvalues of these
 two Perron blocks, and the other six blocks are never built, as
-multilinearity lets the standard bound scan only 8 corners.  The largest
-Perron block has 66 rows at 2s = 20 and 231 at 2s = 40.
+multilinearity lets the standard bound scan only 8 corners.  They have
+T_m and T_(m+1) rows at 2s = 2m and T_(m+1) each at 2s = 2m + 1, with
+T_n = n(n+1)/2; the fixed order puts the block of parity 2s mod 2 last.
 
 A block's basis vector is v_r = sum_g chi(g) e_{g r} / sqrt(4 |stab r|)
 for the least index r of an orbit on whose stabiliser the character chi
@@ -56,15 +57,14 @@ block entry from one row of D,
 over the nonzero entries b = g_b r of row r' in the orbit of r, so only
 the rows of the least indices of the two blocks are read.
 
-The value is lam_L, the least eigenvalue of the larger block (the last
-in the fixed order), unless a Cholesky factor of the smaller block
-shifted by lam_L is missing; only then is the smaller block solved too,
-and the lesser minimum wins (the first block on an exact tie).  Two steps
-of inverse iteration on the winner shifted to value - tol give its
-vector, from the sign pattern (-1)^i of each basis vector's least index:
-the conjugated ground vector is nonnegative, so the start is not
-orthogonal to it.  The vector is mapped back to a real amplitude matrix
-phi.
+The value is lam_L, the least eigenvalue of the last block, unless a
+Cholesky factor of the first block shifted by lam_L is missing; only
+then is the first block solved too, and the lesser minimum wins (the
+first block on an exact tie).  Two steps of inverse iteration on the
+winner shifted to value - tol give its vector, from the sign pattern
+(-1)^i of each basis vector's least index: the conjugated ground vector
+is nonnegative, so the start is not orthogonal to it.  The vector is
+mapped back to a real amplitude matrix phi.
 
 The value is certified in D's frame.  The computed P, Q and sigma give B
 only up to the SVD gap g = s^2 (sum |C - P diag(sigma) Q^T| plus a term
@@ -72,12 +72,12 @@ for the orthogonality defect of P and Q), since ||S_k (x) S_l|| = s^2;
 so B's eigenvalues lie within g of D's.  The residual of phi against the
 full D plus g within the tolerance shows an eigenvalue of B near the
 value.  A Cholesky factor of both Perron blocks shifted by
-value - tol + g (for the smaller block, the exclusion factor when lam_L
-is not below that floor) shows that neither has an eigenvalue at or
+value - tol + g (for the first block, the exclusion factor at lam_L, not
+below that floor as g <= tol) shows that neither has an eigenvalue at or
 below it; the theorem, not a computation, shows the other six blocks
 have none below the lesser Perron minimum.  Together no eigenvalue of B
-lies below value - tol.  quantum_value stops there and reports the
-Schmidt coefficients of phi, which are those of B's ground state by
+lies below value - tol.  quantum_value stops there and reports the Schmidt
+coefficients of phi, which are those of B's ground state by
 local-unitary invariance, with the solve's sizes, effort and residuals.
 quantum_bound also rotates phi back to B's frame and checks its residual
 against the full C, a cross-check of the rotation code.  Both residuals
@@ -111,7 +111,7 @@ SCHMIDT_NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
 
-# the largest Perron block of D has 231 rows at 2s = 40
+# D's last Perron block, of parity 2s mod 2, has T_21 = 231 rows at 2s = 40
 MAX_SPIN_DOUBLED = 40
 
 
@@ -151,21 +151,18 @@ def _spin_matrices(doubled: int) -> np.ndarray:
     return table
 
 
-# characters of the symmetries {1, flip, swap, flip swap} of D, one row
-# each: (+, +), (+, -), (-, +), (-, -) on (flip, swap)
-_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
-
-
 @dataclass(frozen=True, eq=False)
 class _SymmetryBlocks:
     """The symmetry-adapted bases of D's two Perron blocks and the block entries they give.
 
-    The blocks are in the fixed order: by size, then even parity first.
+    The blocks are in the fixed order, the block of parity 2s mod 2 last:
+    of T_m and T_(m+1) rows at 2s = 2m, of T_(m+1) each at 2s = 2m + 1.
     Row k of members and coefficients is basis vector k, v_r for least
     indices r block after block and rising within a block, with amplitude
     coefficients[k, g] at the flat index members[k, g] = g r; repeated
     images add up.  The two blocks, laid end to end row-major, hold
-    sigma @ weights at positions and zero elsewhere.
+    weights @ sigma at positions and zero elsewhere; weights is a
+    row-major (N, 3) array, the layout the bits of each entry follow.
     """
 
     sizes: np.ndarray
@@ -199,12 +196,13 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     to_least = np.argmax(images == orbit, axis=0)
     least = np.flatnonzero(orbit == np.arange(n))
     parity = (i + j)[least] % 2
-    # the Perron blocks: parity p, flip character (-1)^(2s) and swap character (-1)^p
-    chi = _CHARACTERS[2 * (doubled % 2) : 2 * (doubled % 2) + 2]
+    # the Perron blocks: parity p, characters on {1, flip, swap, flip swap} of flip (-1)^(2s), swap (-1)^p
+    flip = (-1) ** doubled
+    chi = np.array([[1, flip, swap, flip * swap] for swap in (1, -1)])
     # chi has a basis vector on the orbit of r when it is 1 on stab r, so sums to |stab r| there
     bases = [least[(parity == p) & (chi[p] @ fixed[:, least] > 0)] for p in (0, 1)]
-    # the fixed order: by size, then even parity first (sorted is stable)
-    order = sorted((0, 1), key=lambda p: len(bases[p]))
+    # the fixed order: the block of parity 2s mod 2, larger or equal in size, last
+    order = [1 - doubled % 2, doubled % 2]
     rows = np.sort(np.concatenate(bases))
 
     # row (i, j) of D is nonzero at most at (i + di, j + dj), |di|, |dj| <= 1:
@@ -233,7 +231,7 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
         inside = (row >= 0) & (col >= 0)
         summed = np.bincount(where, (values * chi[p][g]).ravel(), 3 * len(pair))
         positions.append((start + row * size + col)[inside])
-        weights.append(summed.reshape(3, -1)[:, inside])
+        weights.append(summed.reshape(3, -1).T[inside])
         start += size * size
     basis = np.concatenate([bases[p] for p in order])
     characters = np.repeat(chi[order], sizes, axis=0)
@@ -242,7 +240,7 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
         members=images[:, basis].T,
         coefficients=characters / np.sqrt(4.0 * stabiliser[basis])[:, None],
         positions=np.concatenate(positions),
-        weights=np.concatenate(weights, axis=1),
+        weights=np.ascontiguousarray(np.concatenate(weights)),
     )
 
 
@@ -294,7 +292,7 @@ def _diagonal_blocks(sigma: np.ndarray, doubled: int) -> list[np.ndarray]:
     """The two Perron blocks of D = sum_j sigma_j S_j (x) S_j, in the fixed order."""
     table = _symmetry_blocks(doubled)
     first, second = table.sizes.tolist()
-    flat = np.bincount(table.positions, weights=sigma @ table.weights, minlength=first**2 + second**2)
+    flat = np.bincount(table.positions, weights=table.weights @ sigma, minlength=first**2 + second**2)
     return [flat[: first**2].reshape(first, first), flat[first**2 :].reshape(second, second)]
 
 
@@ -313,20 +311,17 @@ def _has_factor(block: np.ndarray, floor: float) -> bool:
     return True
 
 
-def _diagonal_ground_state(
-    blocks: list[np.ndarray], doubled: int, tol: float
-) -> tuple[float, np.ndarray, float, int]:
-    """Least eigenvalue of D, a real eigenvector as a (2s+1, 2s+1) amplitude matrix, and effort.
+def _diagonal_ground_state(blocks: list[np.ndarray], doubled: int, tol: float) -> tuple[float, np.ndarray, bool]:
+    """Least eigenvalue of D, a real eigenvector as a (2s+1, 2s+1) amplitude matrix, and whether excluded.
 
-    Also the shift the smaller block was shown to lie above (-inf when it
-    was solved instead) and the number of eigvalsh calls.
+    Excluded: a Cholesky factor showed the first block lies above the
+    value, so it was not solved.
     """
     table = _symmetry_blocks(doubled)
-    value, k, cleared, calls = float(np.linalg.eigvalsh(blocks[1])[0]), 1, -math.inf, 1
-    if _has_factor(blocks[0], value):
-        cleared = value
-    else:
-        least, calls = float(np.linalg.eigvalsh(blocks[0])[0]), 2
+    value, k = float(np.linalg.eigvalsh(blocks[1])[0]), 1
+    excluded = _has_factor(blocks[0], value)
+    if not excluded:
+        least = float(np.linalg.eigvalsh(blocks[0])[0])
         if least <= value:
             k, value = 0, least
     rows = slice(0, len(blocks[0])) if k == 0 else slice(len(blocks[0]), None)
@@ -346,7 +341,7 @@ def _diagonal_ground_state(
         vector = vector / np.linalg.norm(vector)
     amplitudes = table.coefficients[rows] * vector[:, None]
     phi = np.bincount(table.members[rows].ravel(), amplitudes.ravel(), d * d)
-    return value, phi.reshape(d, d), cleared, calls
+    return value, phi.reshape(d, d), excluded
 
 
 def _norm(x: np.ndarray) -> float:
@@ -387,7 +382,7 @@ class EigenDiagnostics:
     """Sizes, effort and residuals of quantum_value's certified solve.
 
     perron_block_sizes are the rows of the two Perron blocks in the fixed
-    order; eigvalsh_calls is 2 when the smaller block had no exclusion
+    order; eigvalsh_calls is 2 when the first block had no exclusion
     factor, else 1; the residual of phi against D plus svd_gap (s^2 times
     the SVD gap) stayed within eigen_tolerance.
     """
@@ -420,7 +415,7 @@ def _diagonal_solution(C, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, 
             factor[:, 2] = -factor[:, 2]
             sigma[2] = -sigma[2]
     blocks = _diagonal_blocks(sigma, s.doubled)
-    lam, phi, cleared, calls = _diagonal_ground_state(blocks, s.doubled, tol)
+    lam, phi, excluded = _diagonal_ground_state(blocks, s.doubled, tol)
     # an overflow gives an infinite or nan residual or gap, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _norm(_action(np.diag(sigma * _SIGNS), s.doubled, phi) - lam * phi)
@@ -430,11 +425,12 @@ def _diagonal_solution(C, s: SpinValue) -> tuple[float, np.ndarray, np.ndarray, 
             f"eigenpair residual {residual:.3e} plus SVD gap {gap:.3e} exceeds tolerance"
         )
     floor = lam - tol + gap
-    pending = blocks[1:] if cleared >= floor else blocks
+    # an excluded first block lies above lam, which is not below floor as gap <= tol
+    pending = blocks[1:] if excluded else blocks
     if not all(_has_factor(block, floor) for block in pending):
         raise EigensolverFailure(f"an eigenvalue lies at or below {floor:.17g}, under the one found")
     sizes = (len(blocks[0]), len(blocks[1]))
-    return lam, phi, p, q, EigenDiagnostics(sizes, calls, residual, gap, tol)
+    return lam, phi, p, q, EigenDiagnostics(sizes, 1 if excluded else 2, residual, gap, tol)
 
 
 def quantum_value(C, s: SpinValue) -> tuple[float, np.ndarray, EigenDiagnostics]:

@@ -194,7 +194,44 @@ class TestMembership:
         assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
 
 
+def corner_facets() -> np.ndarray:
+    """The 90 facets F of the standard polytope, F . T <= s^2 over 3x3 arrays.
+
+    18 trivial ones, +-e_kl, and 72 of CHSH type: 1/2 of a signed sum over a
+    2x2 submatrix, with an odd number of minus signs.
+    """
+    facets = []
+    for (k, l), sign in itertools.product(itertools.product(range(3), repeat=2), (1.0, -1.0)):
+        facet = np.zeros((3, 3))
+        facet[k, l] = sign
+        facets.append(facet)
+    pairs = list(itertools.combinations(range(3), 2))
+    for rows, cols in itertools.product(pairs, repeat=2):
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            if signs.count(-1.0) % 2 == 1:
+                facet = np.zeros((3, 3))
+                facet[np.ix_(rows, cols)] = np.reshape(signs, (2, 2)) / 2.0
+                facets.append(facet)
+    return np.array(facets)
+
+
 class TestCornerPolytope:
+    def test_ninety_facets(self):
+        # each facet is valid on the 32 corner products, tight on 9 affinely
+        # independent ones, and its classical maximum is s^2
+        facets = corner_facets()
+        assert len(facets) == 90
+        assert len({facet.tobytes() for facet in facets}) == 90
+        for doubled in range(1, 9):
+            s = SpinValue(doubled)
+            corners = vertex_array_quadrupled(s, False) / 4.0
+            for facet in facets:
+                values = corners @ facet.ravel()
+                assert np.all(values <= s.value**2)
+                tight = corners[values == s.value**2]
+                assert np.linalg.matrix_rank(np.hstack([tight, np.ones((len(tight), 1))])) == 9
+                assert classical_bound(-facet, s, constrained=False)[0] == -s.value**2
+
     def test_corner_products_are_32_grid_products(self):
         for doubled in (1, 2, 3, 4, 7, 40):
             corners = vertex_array_quadrupled(SpinValue(doubled), False)

@@ -27,10 +27,10 @@ from spinhv.matrices import EXAMPLE1, EXAMPLE2, EXAMPLE3, IDENTITY, NAMED_MATRIC
 import spinhv.quantum as quantum_module
 from spinhv.quantum import (
     EIG_RESIDUAL_TOL,
-    _CHARACTERS,
     _SIGNS,
     _action,
     _diagonal_blocks,
+    _diagonal_solution,
     _has_factor,
     _norm,
     _singular_values,
@@ -39,6 +39,10 @@ from spinhv.quantum import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# characters of the symmetries {1, flip, swap, flip swap} of D, one row
+# each: (+, +), (+, -), (-, +), (-, -) on (flip, swap); the labelling oracle
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
 
 
 def spin_squared(doubled: int) -> float:
@@ -196,6 +200,20 @@ class TestDiagonalReduction:
                 scale = max(1.0, float(np.linalg.norm(C)) * spin_squared(doubled))
                 assert np.linalg.norm(bell_action(C, state).ravel() - dense) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("doubled", [1, 2, 5, 12, 20, 40])
+    def test_diagonal_frame_correlators_give_the_value(self, doubled):
+        # T_D[k, l] = <phi| S_k (x) S_l |phi> and T = P T_D Q^T: sum_kl c_kl T_kl is
+        # <phi| D |phi> = beta_q, a check of phi against B through C alone
+        s = SpinValue(doubled)
+        ops = spin_operators(s)
+        rng = np.random.default_rng(300 + doubled)
+        matrices = [np.asarray(m, dtype=float) for m in NAMED_MATRICES.values()]
+        for C in matrices + [rng.normal(size=(3, 3)) for _ in range(4)]:
+            lam, phi, p, q, _ = _diagonal_solution(C, s)
+            t_d = np.array([[np.vdot(phi, ops[k] @ phi @ ops[l].T).real for l in range(3)] for k in range(3)])
+            correlators = p @ t_d @ q.T
+            assert abs(float(np.sum(C * correlators)) - lam) <= 1e-13 * max(1.0, abs(lam))
+
     def test_bell_action_dimension_check(self):
         for state in _NON_SQUARE:
             with pytest.raises(DimensionMismatch, match="not a square amplitude matrix"):
@@ -262,7 +280,7 @@ def _second_eigenpair(excluded: bool):
 
     def ground_state(blocks: list[np.ndarray], doubled: int, tol: float):
         lam, phi = _block_eigenpair(blocks, doubled, len(blocks) - 1, 1)
-        return lam, phi, lam if excluded else -math.inf, 1
+        return lam, phi, excluded
 
     return ground_state
 
@@ -378,6 +396,20 @@ class TestSymmetryBlocks:
     def test_largest_block_at_top_spin(self):
         assert _symmetry_blocks(40).sizes.max() == 231
 
+    def test_sizes_and_order_follow_the_parity_of_2s(self):
+        # T_m and T_(m+1) rows at 2s = 2m, T_(m+1) each at 2s = 2m + 1, and the
+        # block of parity 2s mod 2 last; the weights are a row-major (N, 3) array
+        triangular = [n * (n + 1) // 2 for n in range(52)]
+        for doubled in range(1, 101):
+            table = _symmetry_blocks(doubled)
+            m = doubled // 2
+            sizes = [triangular[m], triangular[m + 1]] if doubled % 2 == 0 else [triangular[m + 1]] * 2
+            assert table.sizes.tolist() == sizes, doubled
+            parity = np.add(*np.divmod(table.members[[0, -1], 0], doubled + 1)) % 2
+            assert parity.tolist() == [1 - doubled % 2, doubled % 2], doubled
+            assert table.weights.shape == (len(table.positions), 3), doubled
+            assert table.weights.flags.c_contiguous, doubled
+
     @pytest.mark.parametrize("doubled", [*range(1, 13), 20, 21])
     def test_blocks_reproduce_dense_operator(self, doubled):
         table = _symmetry_blocks(doubled)
@@ -417,7 +449,7 @@ class TestSymmetryBlocks:
         if first == second:
             assert labels[0] < labels[-1]
         assert np.all(np.diff(least[:first]) > 0) and np.all(np.diff(least[first:]) > 0)
-        assert np.all(np.any(table.weights != 0, axis=0))
+        assert np.all(np.any(table.weights != 0, axis=1))
         assert np.all(np.diff(table.positions) > 0)
 
     @pytest.mark.parametrize("doubled", [25, 40])
