@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import InfeasibleSpin
 from .number_theory import SpinValue
-
-# signs of the spectrum corners, ascending lexicographic like the full grid
-_CORNER_SIGNS = np.array(list(product((-1, 1), repeat=3)), dtype=np.int64)
 
 
 def conserving_target_doubled(s: SpinValue) -> int:
@@ -37,6 +33,10 @@ def enumerate_unconstrained(s: SpinValue) -> np.ndarray:
     """
     spectrum = _spectrum(s)
     return np.stack(np.meshgrid(spectrum, spectrum, spectrum, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+# signs of the spectrum corners {-s, s}^3: the spin-1/2 grid, built once at import
+_CORNER_SIGNS = enumerate_unconstrained(SpinValue(1))
 
 
 def enumerate_constrained(s: SpinValue) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignments import enumerate_unconstrained, extreme_assignments
+from .assignments import conserving_target_doubled, enumerate_unconstrained, extreme_assignments
 from .errors import BoundCheckFailure, DimensionMismatch, InfeasibleSpin, NonFiniteMatrix
 from .number_theory import SpinValue
 
@@ -99,12 +99,18 @@ def classical_bound(C, s: SpinValue, constrained: bool) -> tuple[float, np.ndarr
 
 
 def classical_bound_bruteforce(C, s: SpinValue, constrained: bool) -> tuple[float, np.ndarray]:
-    """Reference scan over the explicit pair set, all (2s+1)^3 when unconstrained.
+    """Reference scan over the explicit pair set of the full (2s+1)^3 grid.
 
-    Ground truth for the corner reduction in classical_bound; quadratic
-    in the assignment count, so only for moderate s.
+    Constrained, the grid rows of squared sum 2s (2s + 2), filtered here so
+    the reference shares no set with classical_bound.  Quadratic in the
+    assignment count, so only for moderate s.  Raises InfeasibleSpin when
+    constrained and no row is left.
     """
-    rows = extreme_assignments(s, True) if constrained else enumerate_unconstrained(s)
+    rows = enumerate_unconstrained(s)
+    if constrained:
+        rows = rows[np.sum(rows * rows, axis=1) == conserving_target_doubled(s)]
+        if not len(rows):
+            raise InfeasibleSpin(f"no magnitude-conserving assignments exist for s = {s}")
     return _minimize(as_coefficient_matrix(C), rows)
 
 

@@ -22,7 +22,7 @@ class UnsupportedSpin(InvalidInput):
 
 
 class DimensionMismatch(InvalidInput):
-    """A state not square, an operator unlike its state, a coefficient matrix not 3x3, or LP A and b unequal."""
+    """A state not square, an operator unlike its state, C not 3x3, a point not nine entries, or LP A and b unequal."""
 
 
 class NotARotation(InvalidInput):

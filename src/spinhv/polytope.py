@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignments import extreme_assignments
-from .errors import InvalidInput, LpNumericalFailure, NonFiniteMatrix
+from .errors import DimensionMismatch, InvalidInput, LpNumericalFailure, NonFiniteMatrix
 from .number_theory import SpinValue
 from .simplex import FEAS_TOL, LpOutcome, solve_equality_lp
 
@@ -68,12 +68,16 @@ def membership(point, s: SpinValue, constrained: bool) -> MembershipResult:
     """Whether the point is a convex combination of the polytope's vertices.
 
     The point holds the nine correlators <S_k S_l>, 3x3 or flat.  Raises
-    NonFiniteMatrix on a non-finite one, InvalidInput when one exceeds s^2
-    or no conserving assignment exists, and LpNumericalFailure when neither
-    the weights nor the separating functional can be certified at tolerance.
+    DimensionMismatch when it has another number of entries, NonFiniteMatrix
+    on a non-finite one, InvalidInput when one exceeds s^2 or no conserving
+    assignment exists, and LpNumericalFailure when neither the weights nor
+    the separating functional can be certified at tolerance.
     """
     s_val = s.doubled / 2.0
-    target = np.asarray(point, dtype=float).reshape(9)
+    target = np.asarray(point, dtype=float)
+    if target.size != 9:
+        raise DimensionMismatch(f"expected nine correlators, got shape {target.shape}")
+    target = target.reshape(9)
     if not np.all(np.isfinite(target)):
         raise NonFiniteMatrix("correlation point has non-finite entries")
     if float(np.max(np.abs(target))) > s_val * s_val + CORRELATOR_SLACK:

@@ -163,6 +163,7 @@ class _SymmetryBlocks:
     images add up.  The two blocks, laid end to end row-major, hold
     weights @ sigma at positions and zero elsewhere; weights is a
     row-major (N, 3) array, the layout the bits of each entry follow.
+    All five arrays are read-only: the table is cached per spin.
     """
 
     sizes: np.ndarray
@@ -195,14 +196,13 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     orbit = images.min(axis=0)
     to_least = np.argmax(images == orbit, axis=0)
     least = np.flatnonzero(orbit == np.arange(n))
-    parity = (i + j)[least] % 2
-    # the Perron blocks: parity p, characters on {1, flip, swap, flip swap} of flip (-1)^(2s), swap (-1)^p
+    # the Perron blocks, parity 2s mod 2 (larger or equal in size) last: characters on
+    # {1, flip, swap, flip swap} of flip (-1)^(2s) and swap (-1)^p at parity p
     flip = (-1) ** doubled
-    chi = np.array([[1, flip, swap, flip * swap] for swap in (1, -1)])
+    chi = np.array([[1, flip, -flip, -1], [1, flip, flip, 1]])
+    swap = 1 - 2 * ((i + j)[least] % 2)  # (-1)^p at each least index
     # chi has a basis vector on the orbit of r when it is 1 on stab r, so sums to |stab r| there
-    bases = [least[(parity == p) & (chi[p] @ fixed[:, least] > 0)] for p in (0, 1)]
-    # the fixed order: the block of parity 2s mod 2, larger or equal in size, last
-    order = [1 - doubled % 2, doubled % 2]
+    bases = [least[(swap == c[2]) & (c @ fixed[:, least] > 0)] for c in chi]
     rows = np.sort(np.concatenate(bases))
 
     # row (i, j) of D is nonzero at most at (i + di, j + dj), |di|, |dj| <= 1:
@@ -220,28 +220,30 @@ def _symmetry_blocks(doubled: int) -> _SymmetryBlocks:
     pair_row, pair_col = np.divmod(pair, n)
     where = (where + len(pair) * np.arange(3)[:, None]).ravel()  # one bin per sigma_j and pair
 
-    sizes = np.array([len(bases[p]) for p in order])
+    sizes = np.array([len(base) for base in bases])
     start = 0
     positions, weights = [], []
-    for p, size in zip(order, sizes.tolist()):
+    for base, c, size in zip(bases, chi, sizes.tolist()):
         column = np.full(n, -1)
-        column[bases[p]] = np.arange(size)
+        column[base] = np.arange(size)
         # D keeps parity, so a row of the block meets only this block's columns
         row, col = column[pair_row], column[pair_col]
         inside = (row >= 0) & (col >= 0)
-        summed = np.bincount(where, (values * chi[p][g]).ravel(), 3 * len(pair))
+        summed = np.bincount(where, (values * c[g]).ravel(), 3 * len(pair))
         positions.append((start + row * size + col)[inside])
         weights.append(summed.reshape(3, -1).T[inside])
         start += size * size
-    basis = np.concatenate([bases[p] for p in order])
-    characters = np.repeat(chi[order], sizes, axis=0)
-    return _SymmetryBlocks(
+    basis = np.concatenate(bases)
+    table = _SymmetryBlocks(
         sizes=sizes,
         members=images[:, basis].T,
-        coefficients=characters / np.sqrt(4.0 * stabiliser[basis])[:, None],
+        coefficients=np.repeat(chi, sizes, axis=0) / np.sqrt(4.0 * stabiliser[basis])[:, None],
         positions=np.concatenate(positions),
         weights=np.ascontiguousarray(np.concatenate(weights)),
     )
+    for array in vars(table).values():
+        array.setflags(write=False)
+    return table
 
 
 def spin_operators(s: SpinValue) -> np.ndarray:

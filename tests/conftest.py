@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from spinhv import SpinValue, expectation, quantum_bound, spin_operators
+from spinhv.matrices import EXAMPLE1
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -23,6 +28,18 @@ def _random_signed_permutation(rng: np.random.Generator) -> np.ndarray:
 def random_rotation():
     """Factory producing uniform-ish random proper rotation matrices."""
     return _random_rotation
+
+
+@pytest.fixture
+def example1_quantum_point():
+    """The nine correlators <S_k S_l> of EXAMPLE1's optimal state at 2s = 2, a 3x3 array."""
+    s = SpinValue(2)
+    _, state = quantum_bound(EXAMPLE1, s)
+    ops = spin_operators(s)
+    entries = np.zeros((3, 3))
+    for k, l in itertools.product(range(3), repeat=2):
+        entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
+    return entries
 
 
 @pytest.fixture

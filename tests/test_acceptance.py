@@ -183,15 +183,10 @@ def test_criterion_11_optimal_state_schmidt_structure():
         assert abs(coeffs[k] - coeffs[i]) > 1e-9
 
 
-def test_criterion_12_polytope_separation():
+def test_criterion_12_polytope_separation(example1_quantum_point):
     with _Stopwatch(12, "quantum point separates the conserving polytope only", 10.0):
         s = SpinValue(2)
-        _, state = quantum_bound(EXAMPLE1, s)
-        ops = spin_operators(s)
-        entries = np.zeros((3, 3))
-        for k, l in itertools.product(range(3), repeat=2):
-            entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
-        point = entries.ravel()
+        point = example1_quantum_point.ravel()
 
         outside = membership(point, s, constrained=True)
         assert not outside.inside

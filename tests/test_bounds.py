@@ -277,6 +277,22 @@ class TestProperties:
             rep = bounds_report(C, s)
             assert rep.beta_constrained == pytest.approx(rep.beta_unconstrained, abs=1e-12)
 
+    def test_bruteforce_filters_its_own_grid(self, monkeypatch):
+        # the constrained reference filters the full grid itself, so a
+        # conserving set that lost the witness triple and its negation makes
+        # the scan miss the minimum, and the reference still finds it
+        s = SpinValue(4)
+        C = np.random.default_rng(3).normal(size=(3, 3))
+        beta, pair = classical_bound(C, s, constrained=True)
+        rows = bounds_module.extreme_assignments(s, True)
+        lost = np.all(rows == pair[0], axis=1) | np.all(rows == -pair[0], axis=1)
+        monkeypatch.setattr(bounds_module, "extreme_assignments", lambda s, constrained: rows[~lost])
+        assert classical_bound(C, s, constrained=True)[0] > beta + 1.0
+        reference, reference_pair = classical_bound_bruteforce(C, s, constrained=True)
+        assert reference == beta and np.array_equal(reference_pair, pair)
+        with pytest.raises(InfeasibleSpin):
+            classical_bound_bruteforce(C, SpinValue(3), constrained=True)
+
 
 class TestErrors:
     def test_infeasible_spin(self):

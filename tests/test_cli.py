@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import json
 import math
 import re
@@ -24,7 +23,6 @@ from spinhv import (
     is_sum_of_three_squares,
     quantum_bound,
     schmidt_coefficients,
-    spin_operators,
     squared_magnitude_classes,
 )
 from spinhv import errors
@@ -332,15 +330,9 @@ class TestTable1Command:
 
 class TestMembershipCommand:
     @pytest.fixture
-    def quantum_point_file(self, tmp_path):
-        s = SpinValue(2)
-        _, state = quantum_bound(EXAMPLE1, s)
-        ops = spin_operators(s)
-        entries = np.zeros((3, 3))
-        for k, l in itertools.product(range(3), repeat=2):
-            entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
+    def quantum_point_file(self, tmp_path, example1_quantum_point):
         path = tmp_path / "point.txt"
-        path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in entries))
+        path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in example1_quantum_point))
         return path
 
     def test_quantum_point_outside_conserving(self, capsys, quantum_point_file):

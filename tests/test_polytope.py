@@ -4,31 +4,19 @@ import numpy as np
 import pytest
 
 from spinhv import (
+    DimensionMismatch,
     InfeasibleSpin,
     LpNumericalFailure,
     NonFiniteMatrix,
     SpinValue,
     classical_bound,
     enumerate_unconstrained,
-    expectation,
     magnitude_feasible,
     membership,
-    quantum_bound,
-    spin_operators,
 )
 from spinhv.assignments import extreme_assignments
 from spinhv.matrices import EXAMPLE1
 from spinhv.polytope import vertex_array_quadrupled
-
-
-def quantum_correlation_point(C, s: SpinValue) -> np.ndarray:
-    """All nine correlators of the optimal eigenvector of the Bell operator, a 3x3 array."""
-    _, state = quantum_bound(C, s)
-    ops = spin_operators(s)
-    entries = np.zeros((3, 3))
-    for k, l in itertools.product(range(3), repeat=2):
-        entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
-    return entries
 
 
 def full_grid_products(doubled: int) -> np.ndarray:
@@ -123,16 +111,16 @@ class TestMembership:
         assert result.inside
         assert result.weights.max() == pytest.approx(1.0, abs=1e-9)
 
-    def test_quantum_point_outside_conserving_polytope(self):
+    def test_quantum_point_outside_conserving_polytope(self, example1_quantum_point):
         s = SpinValue(2)
-        point = quantum_correlation_point(EXAMPLE1, s)
+        point = example1_quantum_point
         result = membership(point, s, constrained=True)
         assert not result.inside
         assert certificate_is_sound(result, vertex_rows(s, True), point.ravel())
 
-    def test_quantum_point_inside_standard_polytope(self):
+    def test_quantum_point_inside_standard_polytope(self, example1_quantum_point):
         s = SpinValue(2)
-        point = quantum_correlation_point(EXAMPLE1, s)
+        point = example1_quantum_point
         result = membership(point, s, constrained=False)
         assert result.inside
         vertices = vertex_rows(s, False)
@@ -143,10 +131,10 @@ class TestMembership:
         assert np.array_equal(result.vertices, vertices)
         assert result.reconstruction_residual == float(np.max(np.abs(recon - point.ravel())))
 
-    def test_example1_inequality_value_below_conserving_bound(self):
+    def test_example1_inequality_value_below_conserving_bound(self, example1_quantum_point):
         # the quantum point violates the inequality the matrix defines
         s = SpinValue(2)
-        point = quantum_correlation_point(EXAMPLE1, s)
+        point = example1_quantum_point
         beta = classical_bound(EXAMPLE1, s, constrained=True)[0]
         assert float((EXAMPLE1 * point).sum()) < beta
 
@@ -171,6 +159,11 @@ class TestMembership:
         too_big = np.full((3, 3), 4.0)
         with pytest.raises(ValueError):
             membership(too_big, SpinValue(2), constrained=False)
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (2, 2), (3, 4)])
+    def test_point_without_nine_entries_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="expected nine correlators"):
+            membership(np.zeros(shape), SpinValue(2), constrained=False)
 
     def test_non_finite_point_rejected(self):
         for value in (np.nan, np.inf):

@@ -393,6 +393,14 @@ class TestSymmetryBlocks:
         for end, size in zip(ends, table.sizes):
             assert size == _sector_dimension(doubled, int(labels[end - 1])) > 0
 
+    @pytest.mark.parametrize("doubled", [1, 4, 40])
+    def test_cached_arrays_are_read_only(self, doubled):
+        # the table is cached per spin: an in-place edit would reach every later solve
+        for name, array in vars(_symmetry_blocks(doubled)).items():
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+            assert not array.flags.writeable, name
+
     def test_largest_block_at_top_spin(self):
         assert _symmetry_blocks(40).sizes.max() == 231
 
