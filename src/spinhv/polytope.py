@@ -54,14 +54,18 @@ class MembershipResult:
 
 
 def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
-    """Deduplicated outer products as exact integers, four times the correlators.
+    """Distinct outer products as exact integers, four times the correlators.
 
     Rows are the nine products (2 a_k)(2 b_l) in row-major k, l order,
-    sorted lexicographically; exact integer keys make the dedup exact.
-    Unconstrained, they are the 32 corner products.
+    sorted lexicographically.  The assignments are nonzero and of one
+    length, so a (x) b = c (x) d only for (c, d) = +-(a, b); their sorted
+    rows are closed under negation, so row n-1-i is -(row i), and the
+    first half of the rows times all rows gives each vertex exactly once,
+    n^2 / 2 of them.  Unconstrained, they are the 32 corner products.
     """
     D = extreme_assignments(s, constrained)
-    return np.unique(np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9), axis=0)
+    products = np.einsum("ik,jl->ijkl", D[: len(D) // 2], D).reshape(-1, 9)
+    return products[np.lexsort(products.T[::-1])]
 
 
 def membership(point, s: SpinValue, constrained: bool) -> MembershipResult:

@@ -9,9 +9,10 @@ y.b > 0.
 
 A pivot is one rank-1 update of the whole tableau: the pivot column,
 with the pivot row's entry set to 0, times the normalised pivot row.
-Bland's choice is read from arrays: the first improving column by
-argmax, the ratios in an inf-filled buffer, and ties broken by argmin
-over the basis indices.  The pivots must follow Bland's sequence bit
+Bland's entering column is the first improving one, found by argmax.
+The ratio test runs on Python floats over the handful of rows, which
+divide and compare exactly as numpy does; ties within RATIO_TIE_TOL go
+to the smallest basis index.  The pivots must follow Bland's sequence bit
 for bit: the verdicts, the certificates, the iteration-limit stalls and
 the pivot counts CI pins (43 pivots for the conserving polytope's origin
 at 2s = 2, 304 with 189 degenerate at 2s = 4) all hang on it.
@@ -52,7 +53,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     pivot_row = tableau[row] / tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, pivot_row)
+    tableau -= factors[:, None] * pivot_row
     tableau[row] = pivot_row
     basis[row] = col
 
@@ -67,23 +68,22 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
     # views: _pivot updates the tableau in place
     obj = tableau[m, :-1]
     rhs = tableau[:m, -1]
-    ratios = np.empty(m)
-    not_tied = np.iinfo(basis.dtype).max
     degenerate = 0
     for pivots in range(MAX_ITER):
         improving = obj < -PIVOT_TOL
         col = int(improving.argmax())  # Bland: smallest eligible index
         if not improving[col]:
             return pivots, degenerate
-        column = tableau[:m, col]
-        eligible = column > PIVOT_TOL
-        if not eligible.any():
+        ratios = {
+            i: value / entry
+            for i, (value, entry) in enumerate(zip(rhs.tolist(), tableau[:m, col].tolist()))
+            if entry > PIVOT_TOL
+        }
+        if not ratios:
             raise LpNumericalFailure("simplex pivot column is unbounded")
-        ratios.fill(np.inf)
-        np.divide(rhs, column, out=ratios, where=eligible)
-        tied = ratios <= ratios.min() + RATIO_TIE_TOL
-        row = int(np.where(tied, basis, not_tied).argmin())
-        degenerate += int(ratios[row] == 0.0)
+        cutoff = min(ratios.values()) + RATIO_TIE_TOL
+        row = min((i for i, ratio in ratios.items() if ratio <= cutoff), key=basis.item)
+        degenerate += ratios[row] == 0.0
         _pivot(tableau, basis, row, col)
     raise LpNumericalFailure(
         f"simplex iteration limit reached after {MAX_ITER} pivots ({degenerate} degenerate)"

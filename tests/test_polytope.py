@@ -74,24 +74,39 @@ class TestVertexCorrelations:
         assert np.array_equal(vertex_rows(SpinValue(2), True) * 4.0, quad)
 
 
+def feasible_polytopes():
+    """Every (s, constrained) with a polytope at 2s <= 40: 67 of them."""
+    cases = [
+        (SpinValue(doubled), constrained)
+        for doubled in range(1, 41)
+        for constrained in (False, True)
+        if not constrained or magnitude_feasible(SpinValue(doubled))
+    ]
+    assert len(cases) == 67
+    return cases
+
+
 class TestSignPairing:
     """a (x) b = (-a) (x) (-b) is the only coincidence: n assignments give n^2 / 2 vertices,
     a set closed under negation, so every vertex v has its partner -v."""
 
     def test_half_the_pairs_and_closed_under_negation(self):
-        cases = 0
-        for doubled in range(1, 41):
-            s = SpinValue(doubled)
-            for constrained in (False, True):
-                if constrained and not magnitude_feasible(s):
-                    continue
-                n = len(extreme_assignments(s, constrained))
-                vertices = vertex_array_quadrupled(s, constrained)
-                where = f"2s = {doubled}, constrained = {constrained}"
-                assert n % 2 == 0 and len(vertices) == n * n // 2, where
-                assert np.array_equal(np.unique(-vertices, axis=0), vertices), where
-                cases += 1
-        assert cases == 67
+        for s, constrained in feasible_polytopes():
+            n = len(extreme_assignments(s, constrained))
+            vertices = vertex_array_quadrupled(s, constrained)
+            where = f"2s = {s.doubled}, constrained = {constrained}"
+            assert n % 2 == 0 and len(vertices) == n * n // 2, where
+            assert np.array_equal(np.unique(-vertices, axis=0), vertices), where
+
+    def test_first_half_times_all_is_the_full_dedup(self):
+        # the sorted rows reversed are the rows negated, so the first half holds one of
+        # each +- pair, and its products with all rows are every vertex once
+        for s, constrained in feasible_polytopes():
+            D = extreme_assignments(s, constrained)
+            where = f"2s = {s.doubled}, constrained = {constrained}"
+            assert np.array_equal(D[::-1], -D), where
+            all_products = np.einsum("ik,jl->ijkl", D, D).reshape(-1, 9)
+            assert np.array_equal(vertex_array_quadrupled(s, constrained), np.unique(all_products, axis=0)), where
 
 
 class TestMembership:

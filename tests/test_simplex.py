@@ -180,13 +180,45 @@ class TestReferenceKernel:
 
     @pytest.mark.parametrize(
         ("doubled", "constrained", "pivots", "degenerate"),
-        [(2, True, 43, 17), (4, True, 304, 189), (4, False, 20, 19)],
+        [
+            (2, True, 43, 17),
+            (4, True, 304, 189),
+            (4, False, 20, 19),
+            (5, True, 2952, 881),  # 1152 columns
+            (13, True, 5352, 3640),  # 4608 columns
+        ],
     )
     def test_origin(self, monkeypatch, doubled, constrained, pivots, degenerate):
         A, b = polytope_system(doubled, constrained, np.zeros(9))
         outcome = solve_against_reference(monkeypatch, A, b)
         assert outcome.feasible
         assert (outcome.pivots, outcome.degenerate_pivots) == (pivots, degenerate)
+
+    @staticmethod
+    def hand_tableau(column, rhs):
+        """Three rows with basis columns 5, 3 and 4, column 0 the only improving one."""
+        tableau = np.zeros((4, 7))
+        tableau[:3, 0] = column
+        tableau[[0, 1, 2], [5, 3, 4]] = 1.0
+        tableau[:3, -1] = rhs
+        tableau[3, 0] = -1.0
+        return tableau, np.array([5, 3, 4])
+
+    def test_ratio_tie_goes_to_smallest_basis_index(self):
+        # ratios 1, 1 + 5e-13 and 1 tie within RATIO_TIE_TOL; row 1 holds basis index 3,
+        # the smallest, though its ratio is not the least
+        tableau, basis = self.hand_tableau([1.0, 1.0, 2.0], [1.0, 1.0 + 5e-13, 2.0])
+        reference, reference_basis = tableau.copy(), basis.tolist()
+        assert simplex._iterate(tableau, basis) == (1, 0)
+        assert basis.tolist() == [5, 0, 4]
+        _list_iterate(reference, reference_basis, [])
+        assert reference_basis == [5, 0, 4]
+        assert np.array_equal(tableau, reference)
+
+    def test_no_entry_above_pivot_tol_is_unbounded(self):
+        tableau, basis = self.hand_tableau([0.0, -1.0, simplex.PIVOT_TOL], [1.0, 1.0, 1.0])
+        with pytest.raises(LpNumericalFailure, match="simplex pivot column is unbounded"):
+            simplex._iterate(tableau, basis)
 
     def test_outside_point(self, monkeypatch):
         A, b = polytope_system(2, True, np.ones(9))
