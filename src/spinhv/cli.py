@@ -31,20 +31,20 @@ from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
 from .polytope import CORRELATOR_SLACK, MEMBERSHIP_TOL, RECONSTRUCTION_TOL, membership
 from .quantum import EIG_RESIDUAL_TOL, MAX_SPIN_DOUBLED, SCHMIDT_NORM_TOL
-from .quantum import bell_action, quantum_value, rotated_singlet
+from .quantum import expectation, quantum_value, rotated_singlet
 
 MAX_FORMULA_DOUBLED = 2000
 MAX_ORACLE_DOUBLED = 200
 
 _SQRT2 = math.sqrt(2.0)
 
-# classical bounds and quantum value of the built-in rotation inequality,
-# keyed by doubled spin
+# classical bounds (beta, beta_bar) of the built-in rotation inequality, keyed by
+# doubled spin; its quantum target is each row's -s(s+1)
 TABLE1_TARGETS = {
-    2: (-1.0 - 1.0 / _SQRT2, -1.0 - _SQRT2, -2.0),
-    4: (-1.0 + 1.0 / _SQRT2 - 4.0 * _SQRT2, -4.0 - 4.0 * _SQRT2, -6.0),
-    6: (-4.0 * (1.0 + _SQRT2), -9.0 - 9.0 * _SQRT2, -12.0),
-    8: (-14.0 * _SQRT2, -16.0 - 16.0 * _SQRT2, -20.0),
+    2: (-1.0 - 1.0 / _SQRT2, -1.0 - _SQRT2),
+    4: (-1.0 + 1.0 / _SQRT2 - 4.0 * _SQRT2, -4.0 - 4.0 * _SQRT2),
+    6: (-4.0 * (1.0 + _SQRT2), -9.0 - 9.0 * _SQRT2),
+    8: (-14.0 * _SQRT2, -16.0 - 16.0 * _SQRT2),
 }
 
 TABLE1_CLASSICAL_TOL = 1e-9
@@ -201,8 +201,7 @@ def cmd_table1(args) -> tuple[dict, dict, dict, int]:
         rep = bounds_report(ROTATION_Z45, s)
         beta, beta_bar = rep.beta_constrained, rep.beta_unconstrained
         minus_s_s_plus_1 = -conserving_target_doubled(s) / 4.0
-        singlet = rotated_singlet(ROTATION_Z45, s)
-        measured = float(np.vdot(singlet, bell_action(ROTATION_Z45, singlet)).real)
+        measured = expectation(rotated_singlet(ROTATION_Z45, s), ROTATION_Z45)
         row = {
             "spin": str(s),
             "spin_doubled": doubled,
@@ -212,16 +211,16 @@ def cmd_table1(args) -> tuple[dict, dict, dict, int]:
             "rotated_singlet_expectation": measured,
         }
         if doubled in TABLE1_TARGETS:
-            t_beta, t_bar, t_quantum = TABLE1_TARGETS[doubled]
+            t_beta, t_bar = TABLE1_TARGETS[doubled]
             checks = {
                 "beta_constrained": beta is not None and abs(beta - t_beta) <= TABLE1_CLASSICAL_TOL,
                 "beta_unconstrained": abs(beta_bar - t_bar) <= TABLE1_CLASSICAL_TOL,
-                "quantum": abs(measured - t_quantum) <= TABLE1_QUANTUM_TOL,
+                "quantum": abs(measured - minus_s_s_plus_1) <= TABLE1_QUANTUM_TOL,
             }
             row["targets"] = {
                 "beta_constrained": t_beta,
                 "beta_unconstrained": t_bar,
-                "quantum": t_quantum,
+                "quantum": minus_s_s_plus_1,
             }
             row["passed"] = checks
             if not all(checks.values()):

@@ -14,7 +14,7 @@ class InfeasibleSpin(InvalidInput):
 
 
 class NonFiniteMatrix(InvalidInput):
-    """A coefficient matrix, correlation point, state or operator contains NaN or infinite entries."""
+    """A coefficient matrix, correlation point or state contains NaN or infinite entries."""
 
 
 class UnsupportedSpin(InvalidInput):
@@ -22,7 +22,7 @@ class UnsupportedSpin(InvalidInput):
 
 
 class DimensionMismatch(InvalidInput):
-    """A state not square, an operator unlike its state, C not 3x3, a point not nine entries, or LP A and b unequal."""
+    """A state not square, C not 3x3, a point not nine entries, or LP A and b unequal."""
 
 
 class NotARotation(InvalidInput):

@@ -1,9 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from spinhv import SpinValue, expectation, quantum_bound, spin_operators
+from spinhv import SpinValue, expectation, quantum_bound
 from spinhv.matrices import EXAMPLE1
 
 
@@ -33,13 +31,9 @@ def random_rotation():
 @pytest.fixture
 def example1_quantum_point():
     """The nine correlators <S_k S_l> of EXAMPLE1's optimal state at 2s = 2, a 3x3 array."""
-    s = SpinValue(2)
-    _, state = quantum_bound(EXAMPLE1, s)
-    ops = spin_operators(s)
-    entries = np.zeros((3, 3))
-    for k, l in itertools.product(range(3), repeat=2):
-        entries[k, l] = expectation(state, np.kron(ops[k], ops[l]))
-    return entries
+    _, state = quantum_bound(EXAMPLE1, SpinValue(2))
+    # <S_k S_l> is the expectation of the unit matrix E_kl, taken in row-major (k, l) order
+    return np.array([expectation(state, unit) for unit in np.eye(9).reshape(9, 3, 3)]).reshape(3, 3)
 
 
 @pytest.fixture

@@ -52,14 +52,6 @@ class _Stopwatch:
         return False
 
 
-def _random_rotation(rng):
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def test_criterion_01_feasibility_formula_vs_oracle():
     with _Stopwatch(1, "feasibility formula agrees with enumeration up to 2s = 200", 5.0):
         infeasible_integers = set()
@@ -118,7 +110,7 @@ def test_criterion_06_rotation_inequality_table():
             s = SpinValue(doubled)
             assert abs(classical_bound(ROTATION_Z45, s, True)[0] - beta_t) <= 1e-9
             assert abs(classical_bound(ROTATION_Z45, s, False)[0] - bar_t) <= 1e-9
-            measured = expectation(rotated_singlet(ROTATION_Z45, s), bell_operator(ROTATION_Z45, s))
+            measured = expectation(rotated_singlet(ROTATION_Z45, s), ROTATION_Z45)
             assert abs(measured - quantum_t) <= 1e-8
             eigen, _ = quantum_bound(ROTATION_Z45, s)
             assert abs(eigen - quantum_t) <= 1e-8
@@ -133,7 +125,7 @@ def test_criterion_07_operator_invariants():
             assert np.linalg.norm(sx @ sy - sy @ sx - 1j * sz) <= 1e-10
 
 
-def test_criterion_08_rotated_singlet_identity():
+def test_criterion_08_rotated_singlet_identity(random_rotation):
     with _Stopwatch(8, "rotated singlet and spectrum equivalence, 20 random rotations", 30.0):
         rng = np.random.default_rng(2026)
         for doubled in (1, 2, 3, 4):
@@ -143,10 +135,9 @@ def test_criterion_08_rotated_singlet_identity():
             )
             target = -doubled * (doubled + 2) / 4.0
             for _ in range(20):
-                C = _random_rotation(rng)
-                H = bell_operator(C, s)
-                assert abs(expectation(rotated_singlet(C, s), H) - target) <= 1e-8
-                assert np.max(np.abs(np.linalg.eigvalsh(H) - reference)) <= 1e-8
+                C = random_rotation(rng)
+                assert abs(expectation(rotated_singlet(C, s), C) - target) <= 1e-8
+                assert np.max(np.abs(np.linalg.eigvalsh(bell_operator(C, s)) - reference)) <= 1e-8
 
 
 def test_criterion_09_singlet_correlator():
@@ -155,9 +146,9 @@ def test_criterion_09_singlet_correlator():
             s = SpinValue(doubled)
             psi = singlet_state(s)
             target = -doubled * (doubled + 2) / 12.0
-            for op in spin_operators(s):
-                pair = np.kron(op, op)
-                assert abs(expectation(psi, pair) - target) <= 1e-10
+            for k in range(3):
+                # <S_k S_k> is the expectation of the unit matrix E_kk
+                assert abs(expectation(psi, np.diag(np.eye(3)[k])) - target) <= 1e-10
 
 
 def test_criterion_10_projection_zero_refutation():

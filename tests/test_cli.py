@@ -313,11 +313,19 @@ class TestTable1Command:
         import spinhv.cli as cli_module
 
         broken = dict(cli_module.TABLE1_TARGETS)
-        broken[2] = (broken[2][0], broken[2][1], -5.0)  # wrong quantum value
+        broken[2] = (broken[2][0], -5.0)  # wrong classical value
         monkeypatch.setattr(cli_module, "TABLE1_TARGETS", broken)
         code, report = run_cli(capsys, "table1", "--max-spin-doubled", "2")
         assert code == 3
         assert report["results"]["all_targets_passed"] is False
+        monkeypatch.undo()
+        # the quantum target is the row's own -s(s+1)
+        monkeypatch.setattr(cli_module, "expectation", lambda state, C: -5.0)
+        code, report = run_cli(capsys, "table1", "--max-spin-doubled", "2")
+        assert code == 3
+        assert report["results"]["rows"][1]["passed"] == {
+            "beta_constrained": True, "beta_unconstrained": True, "quantum": False,
+        }
 
     def test_failed_witness_check_exits_4(self, capsys, monkeypatch):
         # table1 takes its classical bounds through the same checks as bounds
@@ -477,7 +485,7 @@ class TestBoundsCertificate:
 
         for name in ("rotation_unitary", "bell_action", "schmidt_coefficients"):
             monkeypatch.setattr(quantum_module, name, forbidden)
-        monkeypatch.setattr(cli_module, "bell_action", forbidden)
+        monkeypatch.setattr(cli_module, "expectation", forbidden)
         code, report = run_cli(capsys, "bounds", "--matrix", "example3", "--spin-doubled", "4")
         assert code == 0
         assert report["results"]["beta_quantum"] == value
@@ -579,12 +587,6 @@ class TestParseNumbers:
 _UP_UP = np.diag([1.0, 0.0])
 
 
-def _imaginary_expectation():
-    # Hermitian within 1e-12 entrywise, yet <psi| op |psi> has imaginary part 1.6e-10
-    op = np.eye(400) + 4e-13j * np.ones((400, 400))
-    return expectation(np.full((20, 20), 0.05), op)
-
-
 class TestLibraryInputErrors:
     """The library's own input checks raise InvalidInput members, still ValueErrors."""
 
@@ -592,18 +594,16 @@ class TestLibraryInputErrors:
         "call, cls",
         [
             (lambda: classical_bound(np.zeros((2, 2)), SpinValue(2), True), DimensionMismatch),
-            (lambda: expectation(_UP_UP, np.zeros((4, 3))), DimensionMismatch),
-            (lambda: expectation(_UP_UP, np.full((4, 4), math.nan)), NonFiniteMatrix),
-            (lambda: expectation(_UP_UP, np.eye(4, k=1)), InvalidInput),
+            (lambda: expectation(_UP_UP, np.zeros((2, 3))), DimensionMismatch),
+            (lambda: expectation(_UP_UP, np.full((3, 3), math.nan)), NonFiniteMatrix),
             (lambda: schmidt_coefficients(np.diag([math.inf, 0.0])), NonFiniteMatrix),
             (lambda: schmidt_coefficients(np.ones((2, 2))), InvalidInput),
-            (_imaginary_expectation, InvalidInput),
             (lambda: solve_equality_lp(np.eye(2), np.ones(3)), DimensionMismatch),
             (lambda: is_sum_of_three_squares(-1), InvalidInput),
         ],
         ids=[
-            "coefficient-shape", "operator-shape", "operator-nan", "operator-not-hermitian",
-            "state-inf", "state-norm", "expectation-imaginary", "lp-shapes", "negative-n",
+            "coefficient-shape", "expectation-coefficient-shape", "expectation-coefficient-nan",
+            "state-inf", "state-norm", "lp-shapes", "negative-n",
         ],
     )
     def test_raises_invalid_input(self, call, cls):

@@ -201,6 +201,21 @@ class TestMembership:
         assert result.inside
         assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=LpNumericalFailure,
+        reason="phase 1 ends feasible on a drifted tableau and a basic value turns negative; "
+        "ROADMAP item 2 (membership as a gauge LP) must answer it",
+    )
+    def test_exact_vertex_inside(self):
+        s = SpinValue(13)
+        vertices = vertex_rows(s, constrained=True)
+        point = np.array([-35, 77, -49, -55, 121, -77, 25, -55, 35]) / 4.0
+        assert np.array_equal(vertices[1313], point)
+        result = membership(point, s, constrained=True)
+        assert result.inside
+        assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
+
 
 def corner_facets() -> np.ndarray:
     """The 90 facets F of the standard polytope, F . T <= s^2 over 3x3 arrays.
