@@ -55,10 +55,6 @@ class BoundsReport:
     witness_constrained: np.ndarray | None
     witness_unconstrained: np.ndarray
 
-    @property
-    def constrained_infeasible(self) -> bool:
-        return self.beta_constrained is None
-
 
 def _select_pair(values: np.ndarray) -> tuple[float, int, int]:
     """Minimum of a (na, nb) value table with the tie-broken argmin.

@@ -29,9 +29,10 @@ from .bounds import WITNESS_TOL, bounds_report, violates
 from .errors import InvalidInput, NumericalFailure
 from .matrices import NAMED_MATRICES, ROTATION_Z45
 from .number_theory import SpinValue, magnitude_feasible
-from .polytope import CORRELATOR_SLACK, MEMBERSHIP_TOL, RECONSTRUCTION_TOL, membership
+from .polytope import CORRELATOR_SLACK, RECONSTRUCTION_TOL, membership
 from .quantum import EIG_RESIDUAL_TOL, MAX_SPIN_DOUBLED, SCHMIDT_NORM_TOL
 from .quantum import expectation, quantum_value, rotated_singlet
+from .simplex import FEAS_TOL
 
 MAX_FORMULA_DOUBLED = 2000
 MAX_ORACLE_DOUBLED = 200
@@ -173,7 +174,7 @@ def cmd_bounds(args) -> tuple[dict, dict, dict, int]:
         "beta_constrained": rep.beta_constrained,
         "beta_unconstrained": rep.beta_unconstrained,
         "beta_quantum": beta_q,
-        "constrained_infeasible": rep.constrained_infeasible,
+        "constrained_infeasible": rep.beta_constrained is None,
         "witness_constrained": _witness_payload(rep.witness_constrained),
         "witness_unconstrained": _witness_payload(rep.witness_unconstrained),
         "optimal_state_schmidt": schmidt.tolist(),
@@ -270,7 +271,7 @@ def cmd_membership(args) -> tuple[dict, dict, dict, int]:
         "constrained": args.constrained,
     }
     tolerances = {
-        "membership": MEMBERSHIP_TOL,
+        "membership": FEAS_TOL,
         "correlator_slack": CORRELATOR_SLACK,
         "weight_floor": WEIGHT_FLOOR,
         "reconstruction": RECONSTRUCTION_TOL,

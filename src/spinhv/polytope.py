@@ -23,10 +23,8 @@ import numpy as np
 from .assignments import extreme_assignments
 from .errors import DimensionMismatch, InvalidInput, LpNumericalFailure, NonFiniteMatrix
 from .number_theory import SpinValue
-from .simplex import FEAS_TOL, LpOutcome, solve_equality_lp
+from .simplex import LpOutcome, solve_equality_lp
 
-# the simplex's phase-1 threshold, reported as the membership tolerance
-MEMBERSHIP_TOL = FEAS_TOL
 RECONSTRUCTION_TOL = 1e-7
 CORRELATOR_SLACK = 1e-9  # absolute slack of the input check max|correlator| <= s^2
 
@@ -77,15 +75,14 @@ def membership(point, s: SpinValue, constrained: bool) -> MembershipResult:
     assignment exists, and LpNumericalFailure when neither the weights nor
     the separating functional can be certified at tolerance.
     """
-    s_val = s.doubled / 2.0
     target = np.asarray(point, dtype=float)
     if target.size != 9:
         raise DimensionMismatch(f"expected nine correlators, got shape {target.shape}")
     target = target.reshape(9)
     if not np.all(np.isfinite(target)):
         raise NonFiniteMatrix("correlation point has non-finite entries")
-    if float(np.max(np.abs(target))) > s_val * s_val + CORRELATOR_SLACK:
-        raise InvalidInput(f"correlators exceed s^2 = {s_val * s_val} for s = {s}")
+    if float(np.max(np.abs(target))) > s.value**2 + CORRELATOR_SLACK:
+        raise InvalidInput(f"correlators exceed s^2 = {s.value**2} for s = {s}")
     vertices = vertex_array_quadrupled(s, constrained) / 4.0  # (n, 9)
     n = len(vertices)
     A = np.vstack([vertices.T, np.ones((1, n))])

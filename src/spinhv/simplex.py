@@ -11,11 +11,13 @@ A pivot is one rank-1 update of the whole tableau: the pivot column,
 with the pivot row's entry set to 0, times the normalised pivot row.
 Bland's entering column is the first improving one, found by argmax.
 The ratio test runs on Python floats over the handful of rows, which
-divide and compare exactly as numpy does; ties within RATIO_TIE_TOL go
-to the smallest basis index.  The pivots must follow Bland's sequence bit
-for bit: the verdicts, the certificates, the iteration-limit stalls and
-the pivot counts CI pins (43 pivots for the conserving polytope's origin
-at 2s = 2, 304 with 189 degenerate at 2s = 4) all hang on it.
+divide and compare exactly as numpy does.  A basic value that rounding
+has pushed below 0 counts as 0, so no pivot steps backwards: Bland's rule
+is cycle-free only on a nonnegative right-hand side.  Ties within
+RATIO_TIE_TOL go to the smallest basis index.  The pivots must follow
+Bland's sequence bit for bit: the verdicts, the certificates, the
+iteration-limit stalls and the pivot and degenerate-pivot counts that
+the tests and CI pin all hang on it.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
         if not improving[col]:
             return pivots, degenerate
         ratios = {
-            i: value / entry
+            i: max(value, 0.0) / entry
             for i, (value, entry) in enumerate(zip(rhs.tolist(), tableau[:m, col].tolist()))
             if entry > PIVOT_TOL
         }

@@ -207,8 +207,8 @@ class TestProperties:
                 scaled = bounds_report(C * 2.0**power, SpinValue(doubled))
                 assert scaled.beta_unconstrained == plain.beta_unconstrained * 2.0**power
                 assert np.array_equal(scaled.witness_unconstrained, plain.witness_unconstrained)
-                assert scaled.constrained_infeasible == plain.constrained_infeasible
-                if not plain.constrained_infeasible:
+                assert (scaled.beta_constrained is None) == (plain.beta_constrained is None)
+                if plain.beta_constrained is not None:
                     assert scaled.beta_constrained == plain.beta_constrained * 2.0**power
                     assert np.array_equal(scaled.witness_constrained, plain.witness_constrained)
 
@@ -350,13 +350,11 @@ class TestBoundsReport:
         rep = bounds_report(EXAMPLE1, SpinValue(2))
         assert rep.beta_constrained == -2.0
         assert rep.beta_unconstrained == -3.0
-        assert not rep.constrained_infeasible
         a, b = rep.witness_unconstrained
         assert (a / 2.0) @ EXAMPLE1 @ (b / 2.0) == pytest.approx(-3.0)
 
     def test_infeasible_spin_recorded(self):
         rep = bounds_report(ROTATION_Z45, SpinValue(3))
-        assert rep.constrained_infeasible
         assert rep.beta_constrained is None
         assert rep.witness_constrained is None
         assert rep.beta_unconstrained < 0

@@ -187,12 +187,6 @@ class TestMembership:
             with pytest.raises(NonFiniteMatrix, match="correlation point has non-finite entries"):
                 membership(point, SpinValue(2), constrained=False)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=LpNumericalFailure,
-        reason="the phase-1 simplex stalls at its iteration limit near a vertex; "
-        "ROADMAP item 2 (membership as a gauge LP) must answer it",
-    )
     def test_point_near_a_vertex_inside(self):
         s = SpinValue(5)
         vertices = vertex_rows(s, constrained=True)
@@ -200,6 +194,13 @@ class TestMembership:
         result = membership(point, s, constrained=True)
         assert result.inside
         assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
+
+    def test_constrained_origin_inside_at_2s_18(self):
+        # 4490 pivots, 2969 degenerate: Bland's ratio test reads a drifted
+        # negative basic value as 0, so no pivot steps backwards and cycles
+        result = membership(np.zeros(9), SpinValue(18), constrained=True)
+        assert result.inside
+        assert result.reconstruction_residual <= 1e-7
 
     @pytest.mark.xfail(
         strict=True,
