@@ -11,7 +11,12 @@ component of a and of b, so every other product is a convex combination
 of corner products.
 Membership of a correlation point is decided by a simplex feasibility run
 over the vertex columns, which also yields a certificate either way: the
-convex weights, or a separating functional valid on every vertex.
+convex weights, or a separating functional valid on every vertex.  Two
+points need no LP.  Both vertex sets are closed under negation, so the
+origin is the midpoint of a vertex and its negative.  Every vertex has the
+same norm, |2a| |2b| / 4, so each lies on a sphere and is an extreme point
+whose only decomposition is itself; a point equal to one exactly gets
+weight 1 on it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ class MembershipResult:
     reconstruction_residual (max-norm).
     Outside: functional f and bound satisfy f(v) >= bound on every vertex
     while f(point) = value < bound.
-    lp is the simplex run that decided it, with its pivot counts.
+    lp is the simplex run that decided it, with its pivot counts; at the
+    origin and at an exact vertex no LP runs, and lp holds the closed-form
+    weights with 0 pivots.
     """
 
     inside: bool
@@ -83,11 +90,21 @@ def membership(point, s: SpinValue, constrained: bool) -> MembershipResult:
         raise NonFiniteMatrix("correlation point has non-finite entries")
     if float(np.max(np.abs(target))) > s.value**2 + CORRELATOR_SLACK:
         raise InvalidInput(f"correlators exceed s^2 = {s.value**2} for s = {s}")
-    vertices = vertex_array_quadrupled(s, constrained) / 4.0  # (n, 9)
+    quadrupled = vertex_array_quadrupled(s, constrained)
+    vertices = quadrupled / 4.0  # (n, 9)
     n = len(vertices)
-    A = np.vstack([vertices.T, np.ones((1, n))])
-    rhs = np.append(target, 1.0)
-    outcome = solve_equality_lp(A, rhs)
+    weights = np.zeros(n)
+    if not target.any():
+        weights[[0, n - 1]] = 0.5  # row n-1 is -(row 0)
+    else:
+        # 4 * point is exact, so only a quarter-integer point can match a row
+        weights[(quadrupled == 4.0 * target).all(axis=1)] = 1.0
+    if weights.any():
+        outcome = LpOutcome(feasible=True, x=weights)
+    else:
+        A = np.vstack([vertices.T, np.ones((1, n))])
+        rhs = np.append(target, 1.0)
+        outcome = solve_equality_lp(A, rhs)
 
     if outcome.feasible:
         weights = outcome.x

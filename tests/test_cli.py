@@ -400,7 +400,8 @@ class TestMembershipCommand:
         assert code == 2
 
     def test_origin_reports_lp_effort(self, capsys, tmp_path):
-        # the pivot counts of each kernel are pinned in tests/test_simplex.py
+        # the origin is half the first vertex and half the last, its negative, with no
+        # LP; Bland's pivots on the same system are pinned in tests/test_simplex.py
         path = tmp_path / "zero.txt"
         path.write_text("0 0 0 0 0 0 0 0 0\n")
         code, report = run_cli(
@@ -409,8 +410,11 @@ class TestMembershipCommand:
         assert code == 0
         results = report["results"]
         assert results["inside"] is True
+        assert [(w["vertex_index"], w["weight"]) for w in results["weights"]] == [(0, 0.5), (71, 0.5)]
+        assert results["weights"][1]["correlators"] == [-x for x in results["weights"][0]["correlators"]]
+        assert results["reconstruction_residual"] == 0.0
         assert list(results)[-1] == "diagnostics"
-        assert results["diagnostics"] == {"lp_columns": 72, "lp_pivots": 43, "lp_degenerate_pivots": 21}
+        assert results["diagnostics"] == {"lp_columns": 72, "lp_pivots": 0, "lp_degenerate_pivots": 0}
 
     def test_outside_verdict_reports_lp_effort(self, capsys, quantum_point_file):
         code, report = run_cli(
@@ -423,10 +427,11 @@ class TestMembershipCommand:
         assert diagnostics["lp_pivots"] > 0
         assert 0 <= diagnostics["lp_degenerate_pivots"] <= diagnostics["lp_pivots"]
 
-    @pytest.mark.parametrize("doubled", [20], ids=["origin"])
+    @pytest.mark.parametrize("doubled", [20], ids=["near-origin"])
     def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled):
-        # the constrained origin stalls (ROADMAP item 2): every pivot is degenerate,
-        # and it exits 4 after the full iteration limit, through main's NumericalFailure clause
+        # a quarter-integer point next to the constrained origin stalls (ROADMAP item 2):
+        # every pivot is degenerate, and it exits 4 after the full iteration limit,
+        # through main's NumericalFailure clause
         import spinhv.cli as cli_module
 
         raised = []
@@ -441,7 +446,7 @@ class TestMembershipCommand:
 
         monkeypatch.setattr(cli_module, "membership", record)
         path = tmp_path / "p.txt"
-        path.write_text("0 0 0 0 0 0 0 0 0\n")
+        path.write_text("0.25 0 0 0 0 0 0 0 0\n")
         code = main(["membership", "--point", str(path), "--spin-doubled", str(doubled), "--constrained"])
         captured = capsys.readouterr()
         assert code == 4

@@ -6,7 +6,6 @@ import pytest
 from spinhv import (
     DimensionMismatch,
     InfeasibleSpin,
-    LpNumericalFailure,
     NonFiniteMatrix,
     SpinValue,
     classical_bound,
@@ -17,6 +16,7 @@ from spinhv import (
 from spinhv.assignments import extreme_assignments
 from spinhv.matrices import EXAMPLE1
 from spinhv.polytope import vertex_array_quadrupled
+from spinhv.simplex import solve_equality_lp
 
 
 def full_grid_products(doubled: int) -> np.ndarray:
@@ -196,26 +196,83 @@ class TestMembership:
         assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
 
     def test_constrained_origin_inside_at_2s_18(self):
-        # 4490 pivots, 2969 degenerate: Bland's ratio test reads a drifted
-        # negative basic value as 0, so no pivot steps backwards and cycles
+        # the closed form answers it; Bland's pivots on the same system (4490, 2969
+        # degenerate) are pinned on the kernel in CI
         result = membership(np.zeros(9), SpinValue(18), constrained=True)
         assert result.inside
         assert result.reconstruction_residual <= 1e-7
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=LpNumericalFailure,
-        reason="phase 1 ends feasible on a drifted tableau and a basic value turns negative; "
-        "ROADMAP item 2 (membership as a gauge LP) must answer it",
-    )
+    def test_origin_is_the_midpoint_of_the_first_and_last_rows(self):
+        # at every feasible spin, including the origins whose LP stalls (2s = 20, 25,
+        # 26, 29, 33-37) or drifts (2s = 40): row n-1 is -(row 0), and no LP runs
+        for s, constrained in feasible_polytopes():
+            result = membership(np.zeros((3, 3)), s, constrained)
+            n = len(result.vertices)
+            where = f"2s = {s.doubled}, constrained = {constrained}"
+            assert result.inside, where
+            assert result.reconstruction_residual == 0.0, where
+            assert np.flatnonzero(result.weights).tolist() == [0, n - 1], where
+            assert result.weights[[0, n - 1]].tolist() == [0.5, 0.5], where
+            assert (result.lp.pivots, result.lp.degenerate_pivots) == (0, 0), where
+
     def test_exact_vertex_inside(self):
-        s = SpinValue(13)
-        vertices = vertex_rows(s, constrained=True)
+        # row 1313 at 2s = 13 ended on a drifted tableau in the LP, and row 4604 at
+        # 2s = 40 took 16 213 pivots; an exact vertex is its own only decomposition
         point = np.array([-35, 77, -49, -55, 121, -77, 25, -55, 35]) / 4.0
-        assert np.array_equal(vertices[1313], point)
-        result = membership(point, s, constrained=True)
-        assert result.inside
-        assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
+        assert np.array_equal(vertex_rows(SpinValue(13), constrained=True)[1313], point)
+        for doubled, row in ((13, 1313), (40, 4604)):
+            s = SpinValue(doubled)
+            result = membership(vertex_rows(s, constrained=True)[row], s, constrained=True)
+            assert result.inside
+            assert np.flatnonzero(result.weights).tolist() == [row]
+            assert result.weights[row] == 1.0
+            assert result.reconstruction_residual == 0.0
+            assert result.lp.pivots == 0
+
+    @staticmethod
+    def assert_lp_path(point, s: SpinValue, constrained: bool):
+        """membership's outcome is the simplex run's on the same system, bit for bit."""
+        result = membership(point, s, constrained)
+        A = np.vstack([result.vertices.T, np.ones((1, len(result.vertices)))])
+        outcome = solve_equality_lp(A, np.append(point, 1.0))
+        assert result.lp.pivots > 0
+        assert (result.lp.pivots, result.lp.degenerate_pivots) == (outcome.pivots, outcome.degenerate_pivots)
+        assert result.inside == outcome.feasible
+        if result.inside:
+            assert np.array_equal(result.weights, outcome.x)
+        else:
+            y = outcome.farkas[:9]
+            assert np.array_equal(result.functional, -y / np.max(np.abs(y)))
+        return result
+
+    def test_vertex_nudged_by_1e_15_takes_the_lp(self):
+        s = SpinValue(4)
+        vertices = vertex_rows(s, constrained=True)
+        for row in (0, 5, 96):
+            for entry in (0, 4, 8):
+                point = vertices[row].copy()
+                point[entry] += 1e-15
+                assert self.assert_lp_path(point, s, constrained=True).inside
+
+    def test_quarter_integer_non_vertex_takes_the_lp(self):
+        point = np.zeros(9)
+        point[0] = 0.25
+        for doubled in (2, 4):
+            s = SpinValue(doubled)
+            assert not np.any(np.all(vertex_rows(s, True) == point, axis=1))
+            assert self.assert_lp_path(point, s, constrained=True).inside
+
+    def test_mixtures_and_outside_points_take_the_lp(self):
+        rng = np.random.default_rng(83)
+        for doubled in (1, 2, 4, 6, 8):
+            for constrained in (True, False):
+                s = SpinValue(doubled)
+                vertices = vertex_rows(s, constrained)
+                box = s.value**2
+                for _ in range(4):
+                    chosen = vertices[rng.choice(len(vertices), size=3, replace=False)]
+                    self.assert_lp_path(rng.dirichlet(np.ones(3)) @ chosen, s, constrained)
+                    self.assert_lp_path(rng.uniform(-box, box, size=9), s, constrained)
 
 
 def corner_facets() -> np.ndarray:
