@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,17 +68,18 @@ def _report(command: str, inputs: dict, tolerances: dict, results: dict) -> dict
 def _parse_number(token: str) -> float:
     """The float nearest the token's exact value, or ValueError, ZeroDivisionError or OverflowError.
 
-    float() rounds correctly as Fraction does, so a finite nonzero result
-    needs no Fraction; zero keeps Fraction's sign ("-0" gives 0.0), and
-    inf, nan and overflow fall through to Fraction to be rejected.
+    float() rounds correctly as Fraction does, so it decides every token it
+    reads: a non-finite value is rejected, an exact zero is +0.0 ("-0"
+    gives 0.0, as Fraction does), and an underflow keeps float()'s sign.
+    Only a p/q token goes to Fraction, so no exponent reaches its 10**exp.
     """
     try:
         value = float(token)
     except ValueError:
-        value = 0.0  # a fraction such as 5/2, or no number at all: Fraction decides
-    if value != 0.0 and math.isfinite(value):
-        return value
-    return float(Fraction(token))
+        return float(Fraction(token))  # a fraction such as 5/2, or no number at all
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {token!r}")
+    return 0.0 if value == 0.0 and Decimal(token).is_zero() else value
 
 
 def _parse_numbers(text: str, path: str) -> list[float]:

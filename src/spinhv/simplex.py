@@ -17,7 +17,7 @@ is cycle-free only on a nonnegative right-hand side.  Ties within
 RATIO_TIE_TOL go to the smallest basis index.  The pivots must follow
 Bland's sequence bit for bit: the verdicts, the certificates, the
 iteration-limit stalls and the pivot and degenerate-pivot counts that
-the tests and CI pin all hang on it.
+tests/test_simplex.py::TestReferenceKernel pins all hang on it.
 """
 
 from __future__ import annotations

@@ -90,6 +90,8 @@ class TestFeasibilityCommand:
                 {"squared_sum": str(Fraction(key, 4)), "count": classes[key]}
                 for key in sorted(classes, reverse=True)
             ], doubled
+        # at 2s = 40, the largest class table the CLI emits
+        assert len(results["squared_magnitude_classes"]) == 727
 
     def test_large_spin_skips_oracle(self, capsys):
         code, report = run_cli(capsys, "feasibility", "--spin-doubled", "1999")
@@ -212,8 +214,9 @@ class TestBoundsCommand:
     )
     def test_overflowing_entry_is_input_error(self, capsys, tmp_path, command):
         subcommand, option = command
-        # an entry past the float range, and a file that is not UTF-8 text
-        for content in (b"1e400 0 0\n0 0 0\n0 0 0\n", b"\xff\xfe\x00bad"):
+        # an entry past the float range, nan entries, and a file that is not UTF-8 text
+        nans = (b"nan 0 0\n0 1 0\n0 0 1\n", b"nan 0 0\n0 0 0\n0 0 0\n")
+        for content in (b"1e400 0 0\n0 0 0\n0 0 0\n", *nans, b"\xff\xfe\x00bad"):
             path = tmp_path / "big.txt"
             path.write_bytes(content)
             assert run_cli(capsys, subcommand, option, str(path), "--spin-doubled", "2")[0] == 2
@@ -244,13 +247,43 @@ class TestBoundsCommand:
         # finite entries whose pair table overflows to inf - inf = nan
         path = tmp_path / "huge.txt"
         path.write_text("1e308 " * 9)
+        for doubled in ("2", "3"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way to exit 4
+                code = main(["bounds", "--matrix", str(path), "--spin-doubled", doubled])
+            assert code == 4, doubled
+            assert capsys.readouterr().err == (
+                "numerical failure: pair table overflows to non-finite values\n"
+            ), doubled
+
+    @pytest.mark.parametrize(
+        ("entries", "doubled"),
+        [("1e300 0 0 0 1e300 0 0 0 1e300", 40), ("1e200 " * 9, 2), ("5e-324 0 0 0 5e-324 0 0 0 5e-324", 5)],
+        ids=["1e300-identity", "all-1e200", "5e-324-identity"],
+    )
+    def test_extreme_scale_matrices_answer_without_warnings(self, capsys, tmp_path, entries, doubled):
+        path = tmp_path / "extreme.txt"
+        path.write_text(entries)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning on the way to exit 4
-            code = main(["bounds", "--matrix", str(path), "--spin-doubled", "2"])
-        assert code == 4
-        assert capsys.readouterr().err == (
-            "numerical failure: pair table overflows to non-finite values\n"
-        )
+            warnings.simplefilter("error")
+            code = main(["bounds", "--matrix", str(path), "--spin-doubled", str(doubled)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["command"] == "bounds"
+
+    @pytest.mark.parametrize(("doubled", "sizes"), [(39, [210, 210]), (40, [210, 231])], ids=["39", "40"])
+    def test_identity_closed_forms_at_the_top_spins(self, capsys, tmp_path, doubled, sizes):
+        # beta_q = -s(s+1) for identity, and -s^2 for -identity, a level shared by several
+        # blocks; the Perron blocks have T_20 = 210 rows each at 2s = 39, T_20 and T_21 = 231 at 40
+        s = doubled / 2
+        path = tmp_path / "minus_identity.txt"
+        path.write_text("-1 0 0\n0 -1 0\n0 0 -1\n")
+        for matrix, exact in (("identity", -s * (s + 1)), (str(path), -s * s)):
+            code, report = run_cli(capsys, "bounds", "--matrix", matrix, "--spin-doubled", str(doubled))
+            assert code == 0
+            results = report["results"]
+            assert abs(results["beta_quantum"] - exact) <= 1e-12 * abs(exact), matrix
+            assert results["diagnostics"]["perron_block_sizes"] == sizes, matrix
 
     def test_huge_matrix_answers_with_finite_tolerance(self, capsys, tmp_path):
         # ||C||_F would overflow if its squares were summed directly
@@ -303,6 +336,7 @@ class TestTable1Command:
     def test_top_spin_reaches_minus_s_s_plus_one(self, capsys):
         code, report = run_cli(capsys, "table1", "--max-spin-doubled", "40")
         assert code == 0
+        assert report["results"]["all_targets_passed"] is True
         rows = report["results"]["rows"]
         assert [row["spin_doubled"] for row in rows] == list(range(1, 41))
         for row in rows:
@@ -371,13 +405,16 @@ class TestMembershipCommand:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_vertex_echoed_back(self, capsys, tmp_path):
+        # (1,1,0) (x) (1,1,0) on the conserving polytope, and the all-ones product on the standard one
         path = tmp_path / "vertex.txt"
-        path.write_text("1 1 0\n1 1 0\n0 0 0\n")  # (1,1,0) (x) (1,1,0)
-        code, report = run_cli(
-            capsys, "membership", "--point", str(path), "--spin-doubled", "2", "--constrained",
-        )
-        assert code == 0
-        assert report["results"]["inside"] is True
+        cases = (("1 1 0\n1 1 0\n0 0 0\n", ["--constrained"], 72), ("1 1 1\n" * 3, [], 32))
+        for text, flags, columns in cases:
+            path.write_text(text)
+            code, report = run_cli(capsys, "membership", "--point", str(path), "--spin-doubled", "2", *flags)
+            assert code == 0
+            results = report["results"]
+            assert results["inside"] is True and len(results["weights"]) == 1, flags
+            assert results["diagnostics"]["lp_columns"] == columns
 
     def test_infeasible_spin_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
@@ -427,11 +464,18 @@ class TestMembershipCommand:
         assert diagnostics["lp_pivots"] > 0
         assert 0 <= diagnostics["lp_degenerate_pivots"] <= diagnostics["lp_pivots"]
 
-    @pytest.mark.parametrize("doubled", [20], ids=["near-origin"])
-    def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled):
-        # a quarter-integer point next to the constrained origin stalls (ROADMAP item 2):
-        # every pivot is degenerate, and it exits 4 after the full iteration limit,
-        # through main's NumericalFailure clause
+    @pytest.mark.parametrize(
+        ("doubled", "stderr"),
+        [
+            (20, "simplex iteration limit reached after 20000 pivots (20000 degenerate)"),
+            (40, "inside verdict but reconstruction residual 9.188e-03"),
+        ],
+        ids=["near-origin", "near-origin-40"],
+    )
+    def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled, stderr):
+        # a quarter-integer point next to the constrained origin fails (ROADMAP item 2), through
+        # main's NumericalFailure clause: at 2s = 20 every pivot is degenerate up to the full
+        # iteration limit, and at 2s = 40 phase 1 ends feasible on a drifted tableau
         import spinhv.cli as cli_module
 
         raised = []
@@ -453,10 +497,32 @@ class TestMembershipCommand:
         assert [type(exc) for exc in raised] == [LpNumericalFailure]
         assert isinstance(raised[0], NumericalFailure)
         assert captured.out == ""
-        assert captured.err == (
-            "numerical failure: simplex iteration limit reached "
-            "after 20000 pivots (20000 degenerate)\n"
-        )
+        assert captured.err == f"numerical failure: {stderr}\n"
+
+    @pytest.mark.parametrize(
+        ("doubled", "inside", "columns"), [(1, True, 32), (2, False, 72), (4, False, 288)]
+    )
+    def test_corner_product_inside_only_at_2s_1(self, capsys, tmp_path, doubled, inside, columns):
+        # the corner product with all nine entries s^2 is a vertex of the standard polytope;
+        # the conserving one holds it only at 2s = 1, where the two coincide
+        path = tmp_path / "corner.txt"
+        path.write_text(f"{(doubled / 2) ** 2} " * 9)
+        argv = ["membership", "--point", str(path), "--spin-doubled", str(doubled), "--constrained"]
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        results = report["results"]
+        assert (results["inside"], results["diagnostics"]["lp_columns"]) == (inside, columns)
+
+    def test_chsh_point_outside_standard(self, capsys, tmp_path):
+        # 1 1 0 / 1 -1 0 / 0 0 0 at 2s = 2 lies below the CHSH bound -2
+        path = tmp_path / "chsh.txt"
+        path.write_text("1 1 0\n1 -1 0\n0 0 0\n")
+        code, report = run_cli(capsys, "membership", "--point", str(path), "--spin-doubled", "2")
+        results = report["results"]
+        assert code == 0 and not results["inside"]
+        assert results["diagnostics"]["lp_columns"] == 32
+        assert results["functional_bound"] == -2.0
+        assert results["functional_value_at_point"] < results["functional_bound"]
 
     @pytest.mark.parametrize("constrained", [(), ("--constrained",)], ids=["standard", "conserving"])
     def test_spin_cap(self, capsys, tmp_path, constrained):
@@ -559,7 +625,10 @@ class TestExitCodes:
 
 
 class TestParseNumbers:
-    """A finite nonzero token takes float(), the rest Fraction: every value is float(Fraction(token))."""
+    """Every token but p/q takes float(), an exact zero +0.0: every value is float(Fraction(token)).
+
+    float() decides huge exponents too; Fraction would build 10**exp for them.
+    """
 
     ACCEPTED = [
         "1", "-2.5", "+.5", "5.", "3e2", "1.5E+3", ".5e-3", "0.1", "1e-5", "1e308",
@@ -567,12 +636,23 @@ class TestParseNumbers:
         # zeros keep Fraction's sign: "-0" gives 0.0, an underflow of a negative gives -0.0
         "0", "-0", "+0", "0.0", "-0.0", "0/7", "-0/3", "1e-400", "-1e-400",
     ]
-    REJECTED = ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1/0", "0x10", "abc", "1e", "--1"]
+    REJECTED = [
+        "nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1/0", "0x10", "abc", "1e", "--1",
+        "1e999999999", "-1e999999999",
+    ]
 
     @pytest.mark.parametrize("token", ACCEPTED)
     def test_value_and_sign_as_by_fraction(self, token):
         value, = _parse_numbers(f"{token} # one entry", "m.txt")
         assert value.hex() == float(Fraction(token)).hex()
+
+    @pytest.mark.parametrize(
+        ("token", "expected"),
+        [("1e-999999999", 0.0), ("-1e-999999999", -0.0), ("0e999999999", 0.0), ("-0e999999999", 0.0)],
+    )
+    def test_huge_exponent_without_fraction(self, token, expected):
+        value, = _parse_numbers(token, "m.txt")
+        assert value.hex() == expected.hex()
 
     @pytest.mark.parametrize("token", REJECTED)
     def test_rejected_as_before(self, token):

@@ -197,7 +197,7 @@ class TestMembership:
 
     def test_constrained_origin_inside_at_2s_18(self):
         # the closed form answers it; Bland's pivots on the same system (4490, 2969
-        # degenerate) are pinned on the kernel in CI
+        # degenerate) are pinned by tests/test_simplex.py::TestReferenceKernel::test_origin
         result = membership(np.zeros(9), SpinValue(18), constrained=True)
         assert result.inside
         assert result.reconstruction_residual <= 1e-7

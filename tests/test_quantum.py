@@ -637,6 +637,7 @@ def _grid_matrices(random_rotation) -> dict[str, np.ndarray]:
         "diag(2, 1, 0.5)": np.diag([2.0, 1.0, 0.5]),
         "1e-300 identity": 1e-300 * IDENTITY,
         "1e150 normal": 1e150 * rng.normal(size=(3, 3)),
+        "seed 19 normal": np.random.default_rng(19).normal(size=(3, 3)),
     }
 
 

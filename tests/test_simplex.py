@@ -178,21 +178,30 @@ class TestReferenceKernel:
             for point in (mixture, far):
                 solve_against_reference(monkeypatch, *convex_hull_system(vertices, point))
 
+    # the vertex count of each origin system below
+    ORIGIN_COLUMNS = {
+        (2, True): 72, (4, True): 288, (4, False): 32, (5, True): 1152, (13, True): 4608, (18, True): 7200,
+    }
+
     @pytest.mark.parametrize(
         ("doubled", "constrained", "pivots", "degenerate"),
         [
             (2, True, 43, 21),
             (4, True, 304, 222),
             (4, False, 20, 19),
-            (5, True, 2183, 1166),  # 1152 columns
-            (13, True, 4953, 3779),  # 4608 columns
+            (5, True, 2183, 1166),
+            (13, True, 4953, 3779),
+            (18, True, 4490, 2969),
         ],
     )
     def test_origin(self, monkeypatch, doubled, constrained, pivots, degenerate):
+        # Bland's pivots on the origin system, which membership answers without the LP:
+        # they pin the kernel's pivot sequence, and at 2s = 13 and 18 the vertex order too
         A, b = polytope_system(doubled, constrained, np.zeros(9))
         outcome = solve_against_reference(monkeypatch, A, b)
         assert outcome.feasible
-        assert (outcome.pivots, outcome.degenerate_pivots) == (pivots, degenerate)
+        columns = self.ORIGIN_COLUMNS[doubled, constrained]
+        assert (A.shape[1], outcome.pivots, outcome.degenerate_pivots) == (columns, pivots, degenerate)
 
     @staticmethod
     def hand_tableau(column, rhs):
