@@ -52,7 +52,7 @@ from .quantum import (
     spin_operators,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoundCheckFailure",

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .assignments import (
     conserving_target_doubled,
+    extreme_assignments,
     feasible_by_enumeration,
     squared_magnitude_classes,
 )
@@ -247,11 +248,13 @@ def cmd_membership(args) -> tuple[dict, dict, dict, int]:
     results: dict = {"inside": result.inside}
     if result.inside:
         nonzero = np.flatnonzero(result.weights > WEIGHT_FLOOR)
+        correlators = result.correlators
         results["weights"] = [
             {
-                "vertex_index": int(i),
+                "a_doubled": result.pairs[i, 0].tolist(),
+                "b_doubled": result.pairs[i, 1].tolist(),
                 "weight": float(result.weights[i]),
-                "correlators": result.vertices[i].tolist(),
+                "correlators": correlators[i].tolist(),
             }
             for i in nonzero
         ]
@@ -260,10 +263,13 @@ def cmd_membership(args) -> tuple[dict, dict, dict, int]:
         results["separating_functional"] = result.functional.tolist()
         results["functional_bound"] = result.functional_bound
         results["functional_value_at_point"] = result.functional_value
+    columns = len(extreme_assignments(s, args.constrained)) ** 2 // 2
     results["diagnostics"] = {
-        "lp_columns": len(result.vertices),
-        "lp_pivots": result.lp.pivots,
-        "lp_degenerate_pivots": result.lp.degenerate_pivots,
+        "lp_columns": columns,
+        "lp_pivots": result.pivots,
+        "lp_degenerate_pivots": result.degenerate_pivots,
+        "gauge": result.gauge,
+        "rounds": result.rounds,
     }
 
     inputs = {

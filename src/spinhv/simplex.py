@@ -1,11 +1,16 @@
-"""Dense phase-1 simplex deciding feasibility of small equality-form systems.
+"""Dense phase-1 simplex deciding feasibility of small equality-form systems,
+and the pivot and ratio test that polytope.membership's gauge LP shares.
 
-Finds x >= 0 with A x = b on problems with a handful of rows and up to
-56 448 columns (the conserving polytope at 2s = 29, the most for 2s <= 40)
-by minimizing the total of one artificial variable per row.  Bland's rule
-keeps the pivoting cycle-free.  When the system is infeasible the phase-1
-dual vector is returned as a Farkas certificate: y.A <= 0 columnwise while
-y.b > 0.
+solve_equality_lp finds x >= 0 with A x = b by minimizing the total of
+one artificial variable per row.  Bland's rule keeps the pivoting
+cycle-free.  When the system is infeasible the phase-1 dual vector is
+returned as a Farkas certificate: y.A <= 0 columnwise while y.b > 0.
+membership does not call it: over every vertex column of a polytope
+(56 448 at 2s = 29) it is the tests' reference oracle for membership's
+verdicts.  Its tolerances are the gauge LP's too: PIVOT_TOL the
+reduced-cost threshold, RATIO_TIE_TOL the tie window of the ratio test,
+FEAS_TOL the threshold of the verdict, NEGATIVE_BASIC_FLOOR the clamp of
+the weights and MAX_ITER the cap on pivots, or on the gauge LP's rounds.
 
 A pivot is one rank-1 update of the whole tableau: the pivot column,
 with the pivot row's entry set to 0, times the normalised pivot row.
@@ -60,6 +65,24 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def _leaving_row(rhs: np.ndarray, column: np.ndarray, basis: np.ndarray) -> tuple[int, float]:
+    """Bland's ratio test: the leaving row and its ratio, the step of the pivot.
+
+    Runs on Python floats over the handful of rows.  A basic value below 0
+    counts as 0; ties within RATIO_TIE_TOL go to the smallest basis index.
+    """
+    ratios = {
+        i: max(value, 0.0) / entry
+        for i, (value, entry) in enumerate(zip(rhs.tolist(), column.tolist()))
+        if entry > PIVOT_TOL
+    }
+    if not ratios:
+        raise LpNumericalFailure("simplex pivot column is unbounded")
+    cutoff = min(ratios.values()) + RATIO_TIE_TOL
+    row = min((i for i, ratio in ratios.items() if ratio <= cutoff), key=basis.item)
+    return row, ratios[row]
+
+
 def _iterate(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
     """Run simplex pivots in place until the objective row is optimal.
 
@@ -76,16 +99,8 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
         col = int(improving.argmax())  # Bland: smallest eligible index
         if not improving[col]:
             return pivots, degenerate
-        ratios = {
-            i: max(value, 0.0) / entry
-            for i, (value, entry) in enumerate(zip(rhs.tolist(), tableau[:m, col].tolist()))
-            if entry > PIVOT_TOL
-        }
-        if not ratios:
-            raise LpNumericalFailure("simplex pivot column is unbounded")
-        cutoff = min(ratios.values()) + RATIO_TIE_TOL
-        row = min((i for i, ratio in ratios.items() if ratio <= cutoff), key=basis.item)
-        degenerate += ratios[row] == 0.0
+        row, step = _leaving_row(rhs, tableau[:m, col], basis)
+        degenerate += step == 0.0
         _pivot(tableau, basis, row, col)
     raise LpNumericalFailure(
         f"simplex iteration limit reached after {MAX_ITER} pivots ({degenerate} degenerate)"

@@ -187,7 +187,9 @@ def test_criterion_12_polytope_separation(example1_quantum_point):
 
         inside = membership(point, s, constrained=False)
         assert inside.inside
-        recon = (vertex_array_quadrupled(s, False) / 4.0).T @ inside.weights
+        corners = set(map(tuple, vertex_array_quadrupled(s, False).tolist()))
+        assert set(map(tuple, (4 * inside.correlators).astype(int).tolist())) <= corners
+        recon = inside.weights @ inside.correlators
         assert np.max(np.abs(recon - point)) <= 1e-7
 
 

@@ -437,8 +437,9 @@ class TestMembershipCommand:
         assert code == 2
 
     def test_origin_reports_lp_effort(self, capsys, tmp_path):
-        # the origin is half the first vertex and half the last, its negative, with no
-        # LP; Bland's pivots on the same system are pinned in tests/test_simplex.py
+        # the origin is half of (2a) (x) (2b) for the first assignment row 2a = 2b = (-2, -2, 0)
+        # and half of its negative, with no LP; Bland's pivots on the full-tableau system are
+        # pinned in tests/test_simplex.py
         path = tmp_path / "zero.txt"
         path.write_text("0 0 0 0 0 0 0 0 0\n")
         code, report = run_cli(
@@ -447,11 +448,16 @@ class TestMembershipCommand:
         assert code == 0
         results = report["results"]
         assert results["inside"] is True
-        assert [(w["vertex_index"], w["weight"]) for w in results["weights"]] == [(0, 0.5), (71, 0.5)]
+        assert [(w["a_doubled"], w["b_doubled"], w["weight"]) for w in results["weights"]] == [
+            ([-2, -2, 0], [-2, -2, 0], 0.5),
+            ([2, 2, 0], [-2, -2, 0], 0.5),
+        ]
         assert results["weights"][1]["correlators"] == [-x for x in results["weights"][0]["correlators"]]
         assert results["reconstruction_residual"] == 0.0
         assert list(results)[-1] == "diagnostics"
-        assert results["diagnostics"] == {"lp_columns": 72, "lp_pivots": 0, "lp_degenerate_pivots": 0}
+        assert results["diagnostics"] == {
+            "lp_columns": 72, "lp_pivots": 0, "lp_degenerate_pivots": 0, "gauge": 0.0, "rounds": 0,
+        }
 
     def test_outside_verdict_reports_lp_effort(self, capsys, quantum_point_file):
         code, report = run_cli(
@@ -461,22 +467,35 @@ class TestMembershipCommand:
         assert code == 0
         diagnostics = report["results"]["diagnostics"]
         assert diagnostics["lp_columns"] == 72
-        assert diagnostics["lp_pivots"] > 0
+        assert diagnostics["lp_pivots"] == diagnostics["rounds"] - 1 > 0
         assert 0 <= diagnostics["lp_degenerate_pivots"] <= diagnostics["lp_pivots"]
+        assert diagnostics["gauge"] > 1.0 + FEAS_TOL
 
-    @pytest.mark.parametrize(
-        ("doubled", "stderr"),
-        [
-            (20, "simplex iteration limit reached after 20000 pivots (20000 degenerate)"),
-            (40, "inside verdict but reconstruction residual 9.188e-03"),
-        ],
-        ids=["near-origin", "near-origin-40"],
-    )
-    def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled, stderr):
-        # a quarter-integer point next to the constrained origin fails (ROADMAP item 2), through
-        # main's NumericalFailure clause: at 2s = 20 every pivot is degenerate up to the full
-        # iteration limit, and at 2s = 40 phase 1 ends feasible on a drifted tableau
+    @pytest.mark.parametrize("doubled", [20, 40], ids=["near-origin", "near-origin-40"])
+    def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled):
+        # a quarter-integer point next to the constrained origin: the full-tableau LP stalled
+        # at 2s = 20 (20 000 degenerate pivots) and drifted at 2s = 40 (residual 9.188e-03);
+        # the gauge LP answers both inside, and only a round cap below the rounds it needs
+        # reaches exit 4, through main's NumericalFailure clause
         import spinhv.cli as cli_module
+        import spinhv.polytope as polytope_module
+
+        path = tmp_path / "p.txt"
+        path.write_text("0.25 0 0 0 0 0 0 0 0\n")
+        argv = ["membership", "--point", str(path), "--spin-doubled", str(doubled), "--constrained"]
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        results = report["results"]
+        assert results["inside"] is True
+        weights = np.array([w["weight"] for w in results["weights"]])
+        correlators = np.array([w["correlators"] for w in results["weights"]])
+        assert weights.min() > 0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
+        point = np.zeros(9)
+        point[0] = 0.25
+        assert np.max(np.abs(weights @ correlators - point)) == results["reconstruction_residual"] <= 1e-12
+        rounds = results["diagnostics"]["rounds"]
+        assert results["diagnostics"]["gauge"] == pytest.approx(1.0 / doubled**2, rel=1e-12)
+        assert rounds > 1
 
         raised = []
         solve = cli_module.membership
@@ -489,15 +508,18 @@ class TestMembershipCommand:
                 raise
 
         monkeypatch.setattr(cli_module, "membership", record)
-        path = tmp_path / "p.txt"
-        path.write_text("0.25 0 0 0 0 0 0 0 0\n")
-        code = main(["membership", "--point", str(path), "--spin-doubled", str(doubled), "--constrained"])
+        monkeypatch.setattr(polytope_module, "MAX_ITER", rounds - 1)
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 4
         assert [type(exc) for exc in raised] == [LpNumericalFailure]
         assert isinstance(raised[0], NumericalFailure)
         assert captured.out == ""
-        assert captured.err == f"numerical failure: {stderr}\n"
+        assert re.fullmatch(
+            rf"numerical failure: gauge iteration limit reached after {rounds - 1} rounds "
+            r"\(\d+ degenerate pivots\)\n",
+            captured.err,
+        )
 
     @pytest.mark.parametrize(
         ("doubled", "inside", "columns"), [(1, True, 32), (2, False, 72), (4, False, 288)]
@@ -733,13 +755,13 @@ class TestReportShape:
 
 
 class TestReportSchema:
-    """The keys of each command's report at version 0.2.0: a change to them bumps the version."""
+    """The keys of each command's report at version 0.3.0: a change to them bumps the version."""
 
     def keys(self, capsys, *argv):
         code, report = run_cli(capsys, *argv)
         assert code == 0
         assert list(report) == ["command", "version", "timestamp", "inputs", "tolerances", "results"]
-        assert report["version"] == "0.2.0"
+        assert report["version"] == "0.3.0"
         return list(report["results"]), list(report["tolerances"])
 
     def test_feasibility(self, capsys):
@@ -769,6 +791,12 @@ class TestReportSchema:
         path.write_text("0 0 0\n0 0 0\n0 0 0\n")
         inside, tolerances = self.keys(capsys, "membership", "--point", str(path), "--spin-doubled", "2")
         assert inside == ["inside", "weights", "reconstruction_residual", "diagnostics"]
+        results = run_cli(capsys, "membership", "--point", str(path), "--spin-doubled", "2")[1]["results"]
+        weight_keys = ["a_doubled", "b_doubled", "weight", "correlators"]
+        assert [list(w) for w in results["weights"]] == [weight_keys, weight_keys]
+        assert list(results["diagnostics"]) == [
+            "lp_columns", "lp_pivots", "lp_degenerate_pivots", "gauge", "rounds",
+        ]
         assert tolerances == ["membership", "correlator_slack", "weight_floor", "reconstruction"]
         path.write_text("1 1 1\n1 1 1\n1 1 1\n")
         outside, _ = self.keys(capsys, "membership", "--point", str(path), "--spin-doubled", "2", "--constrained")

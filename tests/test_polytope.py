@@ -13,10 +13,12 @@ from spinhv import (
     magnitude_feasible,
     membership,
 )
+from spinhv import polytope
 from spinhv.assignments import extreme_assignments
-from spinhv.matrices import EXAMPLE1
-from spinhv.polytope import vertex_array_quadrupled
-from spinhv.simplex import solve_equality_lp
+from spinhv.errors import LpNumericalFailure
+from spinhv.matrices import EXAMPLE1, ROTATION_Z45
+from spinhv.polytope import RECONSTRUCTION_TOL, vertex_array_quadrupled
+from spinhv.simplex import FEAS_TOL, PIVOT_TOL, solve_equality_lp
 
 
 def full_grid_products(doubled: int) -> np.ndarray:
@@ -109,6 +111,30 @@ class TestSignPairing:
             assert np.array_equal(vertex_array_quadrupled(s, constrained), np.unique(all_products, axis=0)), where
 
 
+def assert_certified(result, s: SpinValue, constrained: bool, point) -> None:
+    """The result's certificate holds against the full vertex list.
+
+    Inside: nonnegative weights summing to 1 (to within FEAS_TOL) on vertices,
+    reconstructing the point to the reported residual.  Outside: the functional
+    is at or above its bound on every vertex and below it at the point, and the
+    bound is the functional's exact classical minimum.
+    """
+    point = np.ravel(point)
+    quadrupled = vertex_array_quadrupled(s, constrained)
+    if result.inside:
+        used = 4 * result.correlators
+        assert np.array_equal(used, np.rint(used))
+        assert set(map(tuple, used.astype(int).tolist())) <= set(map(tuple, quadrupled.tolist()))
+        assert np.all(result.weights >= 0.0)
+        assert result.weights.sum() == pytest.approx(1.0, abs=FEAS_TOL)
+        residual = float(np.max(np.abs(result.weights @ result.correlators - point)))
+        assert residual == result.reconstruction_residual <= RECONSTRUCTION_TOL
+    else:
+        assert certificate_is_sound(result, quadrupled / 4.0, point)
+        assert float((quadrupled / 4.0 @ result.functional).min()) == result.functional_bound
+        assert classical_bound(result.functional.reshape(3, 3), s, constrained)[0] == result.functional_bound
+
+
 class TestMembership:
     def test_vertices_are_inside(self):
         s = SpinValue(2)
@@ -116,7 +142,7 @@ class TestMembership:
         for row in vertices[::7]:
             result = membership(row, s, constrained=True)
             assert result.inside
-            assert np.max(np.abs(vertices.T @ result.weights - row)) <= 1e-7
+            assert np.max(np.abs(result.weights @ result.correlators - row)) <= 1e-7
 
     def test_extreme_vertex_gets_unit_weight(self):
         s = SpinValue(1)
@@ -138,13 +164,15 @@ class TestMembership:
         point = example1_quantum_point
         result = membership(point, s, constrained=False)
         assert result.inside
-        vertices = vertex_rows(s, False)
-        recon = vertices.T @ result.weights
+        recon = result.weights @ result.correlators
         assert np.max(np.abs(recon - point.ravel())) <= 1e-7
         assert result.weights.sum() == pytest.approx(1.0, abs=1e-8)
-        # the result carries the rows its weights index and their residual
-        assert np.array_equal(result.vertices, vertices)
+        # the result carries the doubled pairs its weights index and their residual
+        assert result.pairs.shape == (len(result.weights), 2, 3)
+        a, b = result.pairs.transpose(1, 0, 2)
+        assert np.array_equal(result.correlators, np.einsum("ik,il->ikl", a, b).reshape(-1, 9) / 4.0)
         assert result.reconstruction_residual == float(np.max(np.abs(recon - point.ravel())))
+        assert_certified(result, s, False, point)
 
     def test_example1_inequality_value_below_conserving_bound(self, example1_quantum_point):
         # the quantum point violates the inequality the matrix defines
@@ -193,7 +221,7 @@ class TestMembership:
         point = (1 - 1e-9) * vertices[588] + 1e-9 * vertices[867]
         result = membership(point, s, constrained=True)
         assert result.inside
-        assert np.max(np.abs(vertices.T @ result.weights - point)) <= 1e-7
+        assert np.max(np.abs(result.weights @ result.correlators - point)) <= 1e-7
 
     def test_constrained_origin_inside_at_2s_18(self):
         # the closed form answers it; Bland's pivots on the same system (4490, 2969
@@ -203,47 +231,73 @@ class TestMembership:
         assert result.reconstruction_residual <= 1e-7
 
     def test_origin_is_the_midpoint_of_the_first_and_last_rows(self):
-        # at every feasible spin, including the origins whose LP stalls (2s = 20, 25,
-        # 26, 29, 33-37) or drifts (2s = 40): row n-1 is -(row 0), and no LP runs
+        # at every feasible spin: row n-1 of the assignments is -(row 0), so their products
+        # with row 0 are a vertex and its negative, with no LP
         for s, constrained in feasible_polytopes():
+            D = extreme_assignments(s, constrained)
             result = membership(np.zeros((3, 3)), s, constrained)
-            n = len(result.vertices)
             where = f"2s = {s.doubled}, constrained = {constrained}"
             assert result.inside, where
             assert result.reconstruction_residual == 0.0, where
-            assert np.flatnonzero(result.weights).tolist() == [0, n - 1], where
-            assert result.weights[[0, n - 1]].tolist() == [0.5, 0.5], where
-            assert (result.lp.pivots, result.lp.degenerate_pivots) == (0, 0), where
+            assert np.array_equal(result.pairs, D[[[0, 0], [-1, 0]]]), where
+            assert result.weights.tolist() == [0.5, 0.5], where
+            effort = (result.gauge, result.rounds, result.pivots, result.degenerate_pivots)
+            assert effort == (0.0, 0, 0, 0), where
 
     def test_exact_vertex_inside(self):
-        # row 1313 at 2s = 13 ended on a drifted tableau in the LP, and row 4604 at
-        # 2s = 40 took 16 213 pivots; an exact vertex is its own only decomposition
+        # on the full-tableau LP row 1313 at 2s = 13 ended on a drifted tableau and row 4604
+        # at 2s = 40 took 16 213 pivots; an exact vertex is its own only decomposition, found
+        # in the integer pair table
         point = np.array([-35, 77, -49, -55, 121, -77, 25, -55, 35]) / 4.0
         assert np.array_equal(vertex_rows(SpinValue(13), constrained=True)[1313], point)
         for doubled, row in ((13, 1313), (40, 4604)):
             s = SpinValue(doubled)
-            result = membership(vertex_rows(s, constrained=True)[row], s, constrained=True)
+            vertex = vertex_rows(s, constrained=True)[row]
+            result = membership(vertex, s, constrained=True)
             assert result.inside
-            assert np.flatnonzero(result.weights).tolist() == [row]
-            assert result.weights[row] == 1.0
+            assert result.weights.tolist() == [1.0]
+            assert np.array_equal(result.correlators, [vertex])
             assert result.reconstruction_residual == 0.0
-            assert result.lp.pivots == 0
+            assert (result.gauge, result.rounds, result.pivots) == (1.0, 0, 0)
+
+    @pytest.mark.parametrize(("doubled", "row"), [(13, 1313), (40, 4604)])
+    def test_gauge_lp_meets_the_exact_vertices_on_its_own(self, doubled, row):
+        # without the lookup, column generation ends on a basis whose weights sum to 1
+        s = SpinValue(doubled)
+        D = extreme_assignments(s, True)
+        vertex = vertex_rows(s, constrained=True)[row]
+        basis, rounds, _ = polytope._gauge_lp(vertex, D)
+        pairs = D[np.stack(np.divmod(basis, len(D)), axis=1)]
+        columns = np.einsum("ik,il->ikl", pairs[:, 0], pairs[:, 1]).reshape(9, 9) / 4.0
+        weights = np.linalg.solve(columns.T, vertex)
+        assert rounds > 1
+        assert weights.min() >= -1e-9
+        assert weights.sum() == pytest.approx(1.0, abs=FEAS_TOL)
 
     @staticmethod
-    def assert_lp_path(point, s: SpinValue, constrained: bool):
-        """membership's outcome is the simplex run's on the same system, bit for bit."""
+    def assert_gauge_lp(point, s: SpinValue, constrained: bool):
+        """The gauge LP answers with a sound certificate and the full-tableau oracle's verdict.
+
+        The oracle, Bland's phase 1 over every vertex column, must agree wherever it answers.
+        Outside, y = gauge f / f(point) is the Bell inequality the rounds end on: its
+        classical maximum is 1 and y . point = gauge.
+        """
         result = membership(point, s, constrained)
-        A = np.vstack([result.vertices.T, np.ones((1, len(result.vertices)))])
-        outcome = solve_equality_lp(A, np.append(point, 1.0))
-        assert result.lp.pivots > 0
-        assert (result.lp.pivots, result.lp.degenerate_pivots) == (outcome.pivots, outcome.degenerate_pivots)
+        assert result.rounds > 0 and result.pivots == result.rounds - 1
+        assert 0 <= result.degenerate_pivots <= result.pivots
+        assert_certified(result, s, constrained, point)
+        vertices = vertex_rows(s, constrained)
+        if not result.inside:
+            y = result.gauge * result.functional / result.functional_value
+            assert result.gauge > 1.0 + FEAS_TOL
+            assert -classical_bound(-y.reshape(3, 3), s, constrained)[0] == pytest.approx(1.0, abs=PIVOT_TOL)
+        try:
+            A = np.vstack([vertices.T, np.ones(len(vertices))])
+            outcome = solve_equality_lp(A, np.append(point, 1.0))
+        except LpNumericalFailure:
+            return result, False
         assert result.inside == outcome.feasible
-        if result.inside:
-            assert np.array_equal(result.weights, outcome.x)
-        else:
-            y = outcome.farkas[:9]
-            assert np.array_equal(result.functional, -y / np.max(np.abs(y)))
-        return result
+        return result, True
 
     def test_vertex_nudged_by_1e_15_takes_the_lp(self):
         s = SpinValue(4)
@@ -252,7 +306,8 @@ class TestMembership:
             for entry in (0, 4, 8):
                 point = vertices[row].copy()
                 point[entry] += 1e-15
-                assert self.assert_lp_path(point, s, constrained=True).inside
+                result, _ = self.assert_gauge_lp(point, s, constrained=True)
+                assert result.inside
 
     def test_quarter_integer_non_vertex_takes_the_lp(self):
         point = np.zeros(9)
@@ -260,7 +315,8 @@ class TestMembership:
         for doubled in (2, 4):
             s = SpinValue(doubled)
             assert not np.any(np.all(vertex_rows(s, True) == point, axis=1))
-            assert self.assert_lp_path(point, s, constrained=True).inside
+            result, _ = self.assert_gauge_lp(point, s, constrained=True)
+            assert result.inside
 
     def test_mixtures_and_outside_points_take_the_lp(self):
         rng = np.random.default_rng(83)
@@ -271,8 +327,67 @@ class TestMembership:
                 box = s.value**2
                 for _ in range(4):
                     chosen = vertices[rng.choice(len(vertices), size=3, replace=False)]
-                    self.assert_lp_path(rng.dirichlet(np.ones(3)) @ chosen, s, constrained)
-                    self.assert_lp_path(rng.uniform(-box, box, size=9), s, constrained)
+                    self.assert_gauge_lp(rng.dirichlet(np.ones(3)) @ chosen, s, constrained)
+                    self.assert_gauge_lp(rng.uniform(-box, box, size=9), s, constrained)
+
+    def test_seeded_grid_matches_the_full_tableau_oracle(self):
+        # every feasible 2s <= 16 on both polytopes: an edge midpoint, a mixture, a point
+        # 1e-9 from a vertex, a quarter-integer point next to the origin and a point of the box
+        rng = np.random.default_rng(89)
+        compared = total = outside = 0
+        for s, constrained in feasible_polytopes():
+            if s.doubled > 16:
+                continue
+            vertices = vertex_rows(s, constrained)
+            n = len(vertices)
+            a = rng.integers(n)
+            b = rng.choice(np.setdiff1d(np.arange(n), [a, n - 1 - a]))  # row n-1-a is -(row a)
+            origin_step = np.zeros(9)
+            origin_step[rng.integers(9)] = rng.choice([-0.25, 0.25])
+            chosen = vertices[rng.choice(n, size=6, replace=False)]
+            for point in (
+                (vertices[a] + vertices[b]) / 2.0,
+                rng.dirichlet(np.ones(6)) @ chosen,
+                (1 - 1e-9) * vertices[a] + 1e-9 * vertices[b],
+                origin_step,
+                rng.uniform(-s.value**2, s.value**2, size=9),
+            ):
+                result, answered = self.assert_gauge_lp(point, s, constrained)
+                compared += answered
+                outside += not result.inside
+                total += 1
+        assert total == 140 and compared >= total - 5 and outside >= 20
+
+
+class TestGauge:
+    """gamma(Q) = min { sum w : sum w_v v = Q, w >= 0 }, the polytope's gauge."""
+
+    @pytest.mark.parametrize(
+        ("constrained", "visibilities"),
+        [
+            (True, [0.7071, 0.7836, 0.9749, 0.7071, 0.9703, 0.9933]),
+            (False, [0.7071, 1.0607, 1.5152, 1.5910, 1.6971, 1.7356]),
+        ],
+        ids=["conserving", "standard"],
+    )
+    def test_rotated_singlet_visibility(self, constrained, visibilities):
+        # the rotated singlet's correlations -s(s+1)/3 R45 survive mixing with noise down to
+        # the visibility 1/gamma, at 2s = 1, 2, 5, 6, 8, 9
+        found = []
+        for doubled in (1, 2, 5, 6, 8, 9):
+            s = SpinValue(doubled)
+            result = membership(-s.value * (s.value + 1) / 3 * ROTATION_Z45, s, constrained)
+            assert result.inside == (result.gauge <= 1.0)
+            found.append(round(1.0 / result.gauge, 4))
+        assert found == visibilities
+
+    def test_scaling(self):
+        # the gauge is positively homogeneous: gamma(t Q) = t gamma(Q)
+        s = SpinValue(4)
+        point = vertex_rows(s, True)[[3, 40, 77]].mean(axis=0)
+        base = membership(point, s, True).gauge
+        for t in (0.25, 0.5, 0.75):
+            assert membership(t * point, s, True).gauge == pytest.approx(t * base, rel=1e-12)
 
 
 def corner_facets() -> np.ndarray:
