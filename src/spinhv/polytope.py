@@ -14,17 +14,17 @@ Both vertex sets are closed under negation, so each polytope is the unit
 ball of its gauge gamma(Q) = min { sum w : sum w_v v = Q, w >= 0 }, and Q
 is inside exactly when gamma(Q) <= 1.  membership solves that LP by
 column generation on a master of 9 rows, with no vertex list: the
-products of three independent assignments make a first basis (a column
-of negative weight is swapped for its negative, which is a vertex too),
-and each round the duals y, with y . v = 1 on the basis, price every
-column at once through the pair table a . Y . b, the expression
-bounds._minimize tabulates.  The column of largest price enters, or,
-after a degenerate pivot, the first improving one, so that a run of
-degenerate pivots follows Bland's rule, which cannot cycle in exact
-arithmetic.  When no price
-exceeds 1, y is a Bell inequality with classical maximum 1 and
-y . Q = gamma.  Inside, the weights re-solved from the final basis sum to
-gamma, and the slack 1 - gamma goes half on a vertex v and half on -v.
+products of three independent assignments make a first basis, built once
+per (2s, polytope) in each process (a column of negative weight is
+swapped for its negative, which is a vertex too), and each round the
+duals y, with y . v = 1 on the basis, price every column at once through
+the pair table a . Y . b, the expression bounds._minimize tabulates.
+The column of largest price enters, or, after a degenerate pivot, the
+first improving one, so that a run of degenerate pivots follows Bland's
+rule, which cannot cycle in exact arithmetic.  When no price exceeds 1,
+y is a Bell inequality with classical maximum 1 and y . Q = gamma.
+Inside, the weights re-solved from the final basis sum to gamma, and the
+slack 1 - gamma goes half on a vertex v and half on -v.
 Outside, -y, scaled and rounded onto a grid on which every vertex value
 is exact, is the separating functional.  Two points need no LP.  The
 origin is the midpoint of a vertex and its negative.  Every vertex has
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,41 +123,61 @@ def _independent_rows(D: np.ndarray) -> np.ndarray:
     return np.array([0, second, third])
 
 
-def _gauge_lp(target: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Column generation for gamma(target) over the products of rows of D.
+@lru_cache(maxsize=None)
+def _first_basis(doubled: int, constrained: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices a, b of the nine products of three independent rows, and B^-1.
+
+    Depends only on the vertex set, so it is built once per (2s, polytope),
+    read-only: _gauge_lp flips the signs of copies.
+    """
+    D = extreme_assignments(SpinValue(doubled), constrained)
+    rows = _independent_rows(D)
+    a, b = np.repeat(rows, 3), np.tile(rows, 3)
+    inverse = np.linalg.inv(_products(D[a], D[b]).T)
+    for array in (a, b, inverse):
+        array.setflags(write=False)
+    return a, b, inverse
+
+
+def _gauge_lp(target: np.ndarray, s: SpinValue, constrained: bool) -> tuple[np.ndarray, int, int]:
+    """Column generation for gamma(target) over the products of extreme assignments.
 
     Returns the final basis as pair indices i n + j, the rounds and the
     degenerate pivots.
     """
+    D = extreme_assignments(s, constrained)
     n = len(D)
     halves = D / 2.0
-    rows = _independent_rows(D)
-    a, b = np.repeat(rows, 3), np.tile(rows, 3)
-    inverse = np.linalg.inv(_products(D[a], D[b]).T)
+    halves_t = halves.T
+    a, b, inverse = _first_basis(s.doubled, constrained)
     weights = inverse @ target
     flip = weights < 0.0  # -v = (-a) (x) b, and row n-1-i of D is -(row i)
-    inverse[flip] *= -1.0
-    a[flip] = n - 1 - a[flip]
+    a = np.where(flip, n - 1 - a, a)
     basis = a * n + b
 
     # [B^-1 | w | entering column] over [y | gamma | y . v - 1]: one _pivot updates all
     tableau = np.zeros((10, 11))
     tableau[:9, :9] = inverse
-    tableau[:9, 9] = np.abs(weights)
+    # views from here: _pivot updates the tableau in place
+    inverse, rhs, entering = tableau[:9, :9], tableau[:9, 9], tableau[:9, ENTERING]
+    inverse[flip] *= -1.0
+    rhs[:] = np.abs(weights)
     tableau[9, :10] = tableau[:9, :10].sum(axis=0)
-    duals = tableau[9, :9]  # views: _pivot updates the tableau in place
+    duals = tableau[9, :9].reshape(3, 3)
+    threshold = 1.0 + PIVOT_TOL
+    priced, table = np.empty((3, n)), np.empty((n, n))  # duals . halves^T and the pair table
     degenerate, stalled = 0, False
     for rounds in range(1, MAX_ITER + 1):
-        table = halves @ (duals.reshape(3, 3) @ halves.T)
-        improving = table > 1.0 + PIVOT_TOL
+        np.matmul(halves, np.matmul(duals, halves_t, out=priced), out=table)
         # the largest price enters, or after a degenerate pivot Bland's first improving column
-        column = int(improving.argmax() if stalled else table.argmax())
-        if not improving.flat[column]:
+        column = int((table > threshold).argmax() if stalled else table.argmax())
+        price = table.item(column)
+        if not price > threshold:
             return basis, rounds, degenerate
         i, j = divmod(column, n)
-        tableau[:9, ENTERING] = tableau[:9, :9] @ np.outer(halves[i], halves[j]).reshape(9)
-        tableau[9, ENTERING] = table.flat[column] - 1.0
-        row, step = _leaving_row(tableau[:9, 9], tableau[:9, ENTERING], basis)
+        np.matmul(inverse, (halves[i][:, None] * halves[j]).reshape(9), out=entering)
+        tableau[9, ENTERING] = price - 1.0
+        row, step = _leaving_row(rhs, entering, basis)
         # a step within the tie window moves nothing but rounding: degenerate
         stalled = step <= RATIO_TIE_TOL
         degenerate += stalled
@@ -210,7 +231,7 @@ def membership(point, s: SpinValue, constrained: bool) -> MembershipResult:
                 reconstruction_residual=0.0,
             )
 
-    basis, rounds, degenerate = _gauge_lp(target, D)
+    basis, rounds, degenerate = _gauge_lp(target, s, constrained)
     effort = {"rounds": rounds, "pivots": rounds - 1, "degenerate_pivots": degenerate}
     pairs = D[np.stack(np.divmod(basis, n), axis=1)]
     # re-solved from the final basis, not read off the tableau, which drifts over the pivots

@@ -471,12 +471,14 @@ class TestMembershipCommand:
         assert 0 <= diagnostics["lp_degenerate_pivots"] <= diagnostics["lp_pivots"]
         assert diagnostics["gauge"] > 1.0 + FEAS_TOL
 
-    @pytest.mark.parametrize("doubled", [20, 40], ids=["near-origin", "near-origin-40"])
-    def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled):
+    @pytest.mark.parametrize(
+        ("doubled", "rounds", "degenerate"), [(20, 38, 4), (40, 55, 1)], ids=["near-origin", "near-origin-40"]
+    )
+    def test_stall_exits_4_naming_its_effort(self, capsys, monkeypatch, tmp_path, doubled, rounds, degenerate):
         # a quarter-integer point next to the constrained origin: the full-tableau LP stalled
         # at 2s = 20 (20 000 degenerate pivots) and drifted at 2s = 40 (residual 9.188e-03);
-        # the gauge LP answers both inside, and only a round cap below the rounds it needs
-        # reaches exit 4, through main's NumericalFailure clause
+        # the gauge LP answers both inside, in the rounds README states, and only a round cap
+        # below the rounds it needs reaches exit 4, through main's NumericalFailure clause
         import spinhv.cli as cli_module
         import spinhv.polytope as polytope_module
 
@@ -493,9 +495,9 @@ class TestMembershipCommand:
         point = np.zeros(9)
         point[0] = 0.25
         assert np.max(np.abs(weights @ correlators - point)) == results["reconstruction_residual"] <= 1e-12
-        rounds = results["diagnostics"]["rounds"]
-        assert results["diagnostics"]["gauge"] == pytest.approx(1.0 / doubled**2, rel=1e-12)
-        assert rounds > 1
+        diagnostics = results["diagnostics"]
+        assert diagnostics["gauge"] == pytest.approx(1.0 / doubled**2, rel=1e-12)
+        assert (diagnostics["rounds"], diagnostics["lp_degenerate_pivots"]) == (rounds, degenerate)
 
         raised = []
         solve = cli_module.membership

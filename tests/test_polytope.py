@@ -266,13 +266,38 @@ class TestMembership:
         s = SpinValue(doubled)
         D = extreme_assignments(s, True)
         vertex = vertex_rows(s, constrained=True)[row]
-        basis, rounds, _ = polytope._gauge_lp(vertex, D)
+        basis, rounds, _ = polytope._gauge_lp(vertex, s, True)
         pairs = D[np.stack(np.divmod(basis, len(D)), axis=1)]
         columns = np.einsum("ik,il->ikl", pairs[:, 0], pairs[:, 1]).reshape(9, 9) / 4.0
         weights = np.linalg.solve(columns.T, vertex)
         assert rounds > 1
         assert weights.min() >= -1e-9
         assert weights.sum() == pytest.approx(1.0, abs=FEAS_TOL)
+
+    @pytest.mark.parametrize(
+        ("s", "constrained"),
+        feasible_polytopes(),
+        ids=lambda case: f"2s={case.doubled}" if isinstance(case, SpinValue) else ("conserving" if case else "standard"),
+    )
+    def test_first_basis_is_cached_read_only_and_never_flipped(self, s, constrained):
+        # the first basis depends only on the vertex set; the LP flips the signs of copies of it
+        D = extreme_assignments(s, constrained)
+        a, b, inverse = polytope._first_basis(s.doubled, constrained)
+        for array in (a, b, inverse):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+        columns = polytope._products(D[a], D[b])
+        assert np.max(np.abs(inverse @ columns.T - np.eye(9))) <= 1e-12  # three independent rows
+
+        point = -columns[0] / 2.0  # half the negative of a basis vertex: its first weight is -1/2
+        assert (inverse @ point).min() < 0.0
+        result = membership(point, s, constrained)
+        assert result.inside and result.rounds > 0
+        assert all(x is y for x, y in zip(polytope._first_basis(s.doubled, constrained), (a, b, inverse)))
+        rows = polytope._independent_rows(D)
+        fresh_a, fresh_b = np.repeat(rows, 3), np.tile(rows, 3)
+        fresh = (fresh_a, fresh_b, np.linalg.inv(polytope._products(D[fresh_a], D[fresh_b]).T))
+        assert all(np.array_equal(x, y) for x, y in zip((a, b, inverse), fresh))
 
     @staticmethod
     def assert_gauge_lp(point, s: SpinValue, constrained: bool):
