@@ -14,7 +14,7 @@ Both vertex sets are closed under negation, so each polytope is the unit
 ball of its gauge gamma(Q) = min { sum w : sum w_v v = Q, w >= 0 }, and Q
 is inside exactly when gamma(Q) <= 1.  membership solves that LP by
 column generation on a master of 9 rows, with no vertex list: the
-products of three independent assignments make a first basis, built once
+products of assignment rows 0, 1 and 2 make a first basis, built once
 per (2s, polytope) in each process (a column of negative weight is
 swapped for its negative, which is a vertex too), and each round the
 duals y, with y . v = 1 on the basis, price every column at once through
@@ -26,10 +26,19 @@ y is a Bell inequality with classical maximum 1 and y . Q = gamma.
 Inside, the weights re-solved from the final basis sum to gamma, and the
 slack 1 - gamma goes half on a vertex v and half on -v.
 Outside, -y, scaled and rounded onto a grid on which every vertex value
-is exact, is the separating functional.  Two points need no LP.  The
-origin is the midpoint of a vertex and its negative.  Every vertex has
-the same norm, |2a| |2b| / 4, so each lies on a sphere and is an extreme
-point whose only decomposition is itself; by Cauchy-Schwarz a
+is exact, is the separating functional.
+
+Rows 0-2 are independent, with no search.  Sorted, the first rows have
+a_x = -m, m the largest |a_x|, on the circle a_y^2 + a_z^2 = s(s+1) - m^2,
+> 0 as 4 s(s+1) = (2s+1)^2 - 1 is no square, or 2 m^2 on the corners.
+Sign changes and the y, z swap keep both sets, so rows 0-3 lie there,
+and three points of a circle are not collinear: det(rows 0-2) is -m
+times their collinearity determinant.  The first duals, e_xx / m^2, price every vertex at
+a_x b_x / m^2 <= 1, and the origin's weights are all 0: its LP ends in
+round 1 on row 0's product v, the slack 1/2 on v and 1/2 on -v.  That is
+the origin's closed form, one of two points that need no LP.  Every
+vertex has the same norm, |2a| |2b| / 4, so each lies on a sphere and is
+an extreme point whose only decomposition is itself; by Cauchy-Schwarz a
 quarter-integer point of that norm is a vertex exactly when the integer
 pair table reaches the norm squared, and it gets weight 1.
 """
@@ -59,6 +68,7 @@ from .simplex import (
 RECONSTRUCTION_TOL = 1e-7
 CORRELATOR_SLACK = 1e-9  # absolute slack of the input check max|correlator| <= s^2
 ENTERING = 10  # tableau column of the entering vertex: B^-1 in 0-8, the weights in 9
+FIRST_A, FIRST_B = np.divmod(np.arange(9), 3)  # the first basis's pairs of rows 0, 1, 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,33 +125,20 @@ def vertex_array_quadrupled(s: SpinValue, constrained: bool) -> np.ndarray:
     return products[np.lexsort(products.T[::-1])]
 
 
-def _independent_rows(D: np.ndarray) -> np.ndarray:
-    """Indices of the first three linearly independent rows, tested in integers."""
-    crosses = np.cross(D[0], D)
-    second = int(np.flatnonzero(crosses.any(axis=1))[0])
-    third = int(np.flatnonzero(D @ crosses[second])[0])
-    return np.array([0, second, third])
-
-
 @lru_cache(maxsize=None)
-def _first_basis(doubled: int, constrained: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices a, b of the nine products of three independent rows, and B^-1.
-
-    Depends only on the vertex set, so it is built once per (2s, polytope),
-    read-only: _gauge_lp flips the signs of copies.
-    """
+def _first_basis(doubled: int, constrained: bool) -> np.ndarray:
+    """Read-only B^-1 of the nine products of rows 0-2, built once per (2s, polytope)."""
     D = extreme_assignments(SpinValue(doubled), constrained)
-    rows = _independent_rows(D)
-    a, b = np.repeat(rows, 3), np.tile(rows, 3)
-    inverse = np.linalg.inv(_products(D[a], D[b]).T)
-    for array in (a, b, inverse):
-        array.setflags(write=False)
-    return a, b, inverse
+    inverse = np.linalg.inv(_products(D[FIRST_A], D[FIRST_B]).T)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def _gauge_lp(target: np.ndarray, s: SpinValue, constrained: bool) -> tuple[np.ndarray, int, int]:
     """Column generation for gamma(target) over the products of extreme assignments.
 
+    The first basis, rows 0-2 on the face a_x = -m, has duals e_xx / m^2:
+    at the origin it ends in round 1, on membership's closed form.
     Returns the final basis as pair indices i n + j, the rounds and the
     degenerate pivots.
     """
@@ -149,11 +146,10 @@ def _gauge_lp(target: np.ndarray, s: SpinValue, constrained: bool) -> tuple[np.n
     n = len(D)
     halves = D / 2.0
     halves_t = halves.T
-    a, b, inverse = _first_basis(s.doubled, constrained)
+    inverse = _first_basis(s.doubled, constrained)
     weights = inverse @ target
     flip = weights < 0.0  # -v = (-a) (x) b, and row n-1-i of D is -(row i)
-    a = np.where(flip, n - 1 - a, a)
-    basis = a * n + b
+    basis = np.where(flip, n - 1 - FIRST_A, FIRST_A) * n + FIRST_B
 
     # [B^-1 | w | entering column] over [y | gamma | y . v - 1]: one _pivot updates all
     tableau = np.zeros((10, 11))
